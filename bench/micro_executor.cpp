@@ -1,7 +1,7 @@
 // Enactment-scaling microbenchmark (docs/PERF.md "Enactment scaling"):
 //
-//   1. run_collect dispatch: legacy thread-per-rank vs the bounded
-//      work-stealing executor at 256 / 1k / 4k ranks, on a pipelined
+//   1. run_collect dispatch on the bounded work-stealing executor
+//      (ExecMode::kPooled) at 256 / 1k / 4k ranks, on a pipelined
 //      ring-of-8 body (each rank sends to its successor then blocks on
 //      its predecessor — the enactment pattern the pool is built for).
 //      Reports wall time plus the thread-count evidence: total threads
@@ -36,9 +36,7 @@ double now_ms() {
 
 struct DispatchResult {
   i32 ranks = 0;
-  double legacy_ms = 0;
   double pooled_ms = 0;
-  ExecutorStats legacy_stats;
   ExecutorStats pooled_stats;
 };
 
@@ -65,27 +63,19 @@ DispatchResult bench_dispatch(i32 n, int reps) {
 
   DispatchResult result;
   result.ranks = n;
-  for (const ExecMode mode : {ExecMode::kThreadPerRank, ExecMode::kPooled}) {
-    double best = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-      Metrics metrics;
-      Runtime runtime(cluster, metrics);
-      runtime.set_exec_mode(mode);
-      const double t0 = now_ms();
-      const auto failures = runtime.run_collect(placement, body);
-      const double elapsed = now_ms() - t0;
-      if (!failures.empty()) {
-        std::fprintf(stderr, "rank failures during bench run\n");
-        std::exit(1);
-      }
-      if (rep == 0 || elapsed < best) best = elapsed;
-      if (mode == ExecMode::kPooled) {
-        result.pooled_stats = runtime.last_exec_stats();
-      } else {
-        result.legacy_stats = runtime.last_exec_stats();
-      }
+  for (int rep = 0; rep < reps; ++rep) {
+    Metrics metrics;
+    Runtime runtime(cluster, metrics);
+    runtime.set_exec_mode(ExecMode::kPooled);
+    const double t0 = now_ms();
+    const auto failures = runtime.run_collect(placement, body);
+    const double elapsed = now_ms() - t0;
+    if (!failures.empty()) {
+      std::fprintf(stderr, "rank failures during bench run\n");
+      std::exit(1);
     }
-    (mode == ExecMode::kPooled ? result.pooled_ms : result.legacy_ms) = best;
+    if (rep == 0 || elapsed < result.pooled_ms) result.pooled_ms = elapsed;
+    result.pooled_stats = runtime.last_exec_stats();
   }
   return result;
 }
@@ -155,18 +145,16 @@ int main(int argc, char** argv) {
   }
   const int reps = smoke ? 1 : 3;
 
-  std::printf("run_collect dispatch: thread-per-rank vs pooled "
-              "(ring-of-8 pipeline body)\n");
-  std::printf("%-7s %12s %12s %9s %16s %16s\n", "ranks", "legacy ms",
-              "pooled ms", "speedup", "legacy spawned", "pooled peak_live");
+  std::printf("run_collect dispatch: pooled (ring-of-8 pipeline body)\n");
+  std::printf("%-7s %12s %16s %16s\n", "ranks", "pooled ms",
+              "pooled spawned", "pooled peak_live");
   std::vector<DispatchResult> dispatch;
   for (i32 n : std::vector<i32>{256, 1024, 4096}) {
     if (smoke && n > 256) break;
     const DispatchResult r = bench_dispatch(n, reps);
     dispatch.push_back(r);
-    std::printf("%-7d %12.2f %12.2f %8.2fx %16d %16d\n", r.ranks,
-                r.legacy_ms, r.pooled_ms, r.legacy_ms / r.pooled_ms,
-                r.legacy_stats.total_spawned, r.pooled_stats.peak_live);
+    std::printf("%-7d %12.2f %16d %16d\n", r.ranks, r.pooled_ms,
+                r.pooled_stats.total_spawned, r.pooled_stats.peak_live);
   }
 
   std::printf("\ncomm-graph build: sweep vs all-pairs (1-D, blocked -> "
@@ -194,12 +182,12 @@ int main(int argc, char** argv) {
     const DispatchResult& r = dispatch[i];
     std::fprintf(
         out,
-        "    {\"ranks\": %d, \"legacy_ms\": %.3f, \"pooled_ms\": %.3f,"
-        " \"legacy_threads_spawned\": %d, \"pooled_threads_spawned\": %d,"
+        "    {\"ranks\": %d, \"pooled_ms\": %.3f,"
+        " \"pooled_threads_spawned\": %d,"
         " \"pooled_peak_live\": %d, \"pooled_pool_size\": %d,"
         " \"pooled_escalations\": %d}%s\n",
-        r.ranks, r.legacy_ms, r.pooled_ms, r.legacy_stats.total_spawned,
-        r.pooled_stats.total_spawned, r.pooled_stats.peak_live,
+        r.ranks, r.pooled_ms, r.pooled_stats.total_spawned,
+        r.pooled_stats.peak_live,
         r.pooled_stats.pool_size, r.pooled_stats.escalations,
         i + 1 < dispatch.size() ? "," : "");
   }

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <mutex>  // check_sync:allow — the registry's own internal lock
+#include <mutex>  // the registry's own internal lock
 #include <set>
 #include <sstream>
 #include <vector>
@@ -33,6 +33,7 @@ std::atomic<CycleHandler> g_handler{&default_cycle_handler};
 // (the cycle handler runs after it is released), so it can never take
 // part in an application-level cycle.
 struct Registry {
+  // codslint-allow(blocking): a cods::Mutex would report into itself
   std::mutex mutex;
   std::vector<std::string> names;                 // id -> name
   std::map<LockId, std::set<LockId>> successors;  // edge a -> b: a held
@@ -86,7 +87,8 @@ std::string describe_cycle(const Registry& reg, LockId held, LockId acquiring,
 
 LockId register_lock(const char* name) {
   Registry& reg = registry();
-  std::scoped_lock lock(reg.mutex);  // check_sync:allow
+  // codslint-allow(blocking): the registry's leaf lock (see Registry)
+  std::scoped_lock lock(reg.mutex);
   reg.names.emplace_back(name == nullptr ? "unnamed" : name);
   return static_cast<LockId>(reg.names.size() - 1);
 }
@@ -96,7 +98,8 @@ void on_acquire(LockId id) {
   std::string cycle;
   {
     Registry& reg = registry();
-    std::scoped_lock lock(reg.mutex);  // check_sync:allow
+    // codslint-allow(blocking): the registry's leaf lock (see Registry)
+    std::scoped_lock lock(reg.mutex);
     for (LockId held : t_held) {
       if (held == id) {
         // Recursive acquisition of a non-recursive lock: a self-deadlock.
@@ -152,7 +155,8 @@ std::string dump_hierarchy() {
   Registry& reg = registry();
   std::set<std::pair<std::string, std::string>> lines;
   {
-    std::scoped_lock lock(reg.mutex);  // check_sync:allow
+    // codslint-allow(blocking): the registry's leaf lock (see Registry)
+    std::scoped_lock lock(reg.mutex);
     for (const auto& [from, succ] : reg.successors) {
       for (LockId to : succ) {
         lines.insert({reg.names[from], reg.names[to]});
@@ -166,19 +170,22 @@ std::string dump_hierarchy() {
 
 std::size_t edge_count() {
   Registry& reg = registry();
-  std::scoped_lock lock(reg.mutex);  // check_sync:allow
+  // codslint-allow(blocking): the registry's leaf lock (see Registry)
+  std::scoped_lock lock(reg.mutex);
   return reg.edge_count;
 }
 
 std::size_t cycles_reported() {
   Registry& reg = registry();
-  std::scoped_lock lock(reg.mutex);  // check_sync:allow
+  // codslint-allow(blocking): the registry's leaf lock (see Registry)
+  std::scoped_lock lock(reg.mutex);
   return reg.cycles;
 }
 
 void reset_edges_for_testing() {
   Registry& reg = registry();
-  std::scoped_lock lock(reg.mutex);  // check_sync:allow
+  // codslint-allow(blocking): the registry's leaf lock (see Registry)
+  std::scoped_lock lock(reg.mutex);
   reg.successors.clear();
   reg.edge_count = 0;
   reg.cycles = 0;

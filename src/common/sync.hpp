@@ -1,7 +1,8 @@
 // Compiler-checked lock discipline (docs/CONCURRENCY.md).
 //
 // This header is the only place in src/ allowed to touch the raw standard
-// locking primitives (enforced by tools/lint/check_sync.py). It provides:
+// locking primitives (enforced by the codslint `blocking` check,
+// tools/analyze/codslint). It provides:
 //
 //   * Clang thread-safety-annotation macros (CODS_GUARDED_BY,
 //     CODS_REQUIRES, CODS_EXCLUDES, ...). Under Clang every shared field
@@ -19,9 +20,9 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>  // check_sync:allow — wrapped by CondVar
-#include <mutex>               // check_sync:allow — wrapped by Mutex
-#include <shared_mutex>        // check_sync:allow — wrapped by SharedMutex
+#include <condition_variable>  // wrapped by CondVar
+#include <mutex>               // wrapped by Mutex
+#include <shared_mutex>        // wrapped by SharedMutex
 
 #include "common/blocking.hpp"
 #include "common/lock_order.hpp"

@@ -4,8 +4,8 @@
 //   per object: u64 var_len | var bytes | i32 version | i32 node |
 //               i32 ndim | i64 lb[ndim] | i64 ub[ndim] |
 //               u64 data_len | data bytes | u32 crc32(data)
-// The v1 format ("CODSCKP1", no per-object CRC footer) is still readable;
-// new checkpoints are always written as v2.
+// A stream with any other magic is rejected before anything is read into
+// the space, so every loaded object is CRC-checked.
 #include <algorithm>
 #include <array>
 #include <fstream>
@@ -20,7 +20,6 @@ namespace cods {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'C', 'O', 'D', 'S', 'C', 'K', 'P', '1'};
 constexpr char kMagicV2[8] = {'C', 'O', 'D', 'S', 'C', 'K', 'P', '2'};
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven. Guards each
@@ -123,11 +122,8 @@ CodsSpace::RestoreResult CodsSpace::restore_from_stream(
     std::istream& in, const std::function<std::optional<i32>(i32)>& remap) {
   char magic[sizeof(kMagicV2)];
   in.read(magic, sizeof(magic));
-  CODS_REQUIRE(in.good(), "not a CoDS checkpoint (bad magic)");
-  const bool has_crc = std::equal(std::begin(magic), std::end(magic),
-                                  std::begin(kMagicV2));
-  CODS_REQUIRE(has_crc || std::equal(std::begin(magic), std::end(magic),
-                                     std::begin(kMagicV1)),
+  CODS_REQUIRE(in.good() && std::equal(std::begin(magic), std::end(magic),
+                                       std::begin(kMagicV2)),
                "not a CoDS checkpoint (bad magic)");
   const u64 count = read_pod<u64>(in);
   RestoreResult result;
@@ -166,10 +162,9 @@ CodsSpace::RestoreResult CodsSpace::restore_from_stream(
     }
     const std::optional<i32> target = exists ? std::nullopt : remap(node);
     if (!target) {
-      // Not selected for restore: skip the payload (and its CRC footer).
+      // Not selected for restore: skip the payload and its CRC footer.
       in.ignore(static_cast<std::streamsize>(data_len));
-      if (has_crc) read_pod<u32>(in);
-      CODS_CHECK(in.good(), "truncated checkpoint stream");
+      read_pod<u32>(in);
       continue;
     }
     CODS_REQUIRE(*target >= 0 && *target < cluster_->num_nodes(),
@@ -178,16 +173,14 @@ CodsSpace::RestoreResult CodsSpace::restore_from_stream(
     in.read(reinterpret_cast<char*>(data.data()),
             static_cast<std::streamsize>(data_len));
     CODS_CHECK(in.good(), "truncated checkpoint stream");
-    if (has_crc) {
-      const u32 expected = read_pod<u32>(in);
-      if (crc32(std::span<const std::byte>(data)) != expected) {
-        // A corrupt object loses that object, not the whole restore: the
-        // caller sees the count and decides whether the wave can proceed.
-        ++result.corrupt;
-        dart_.metrics().add_count(
-            /*app_id=*/0, dart_.metrics().intern("ckpt.corrupt_skipped"));
-        continue;
-      }
+    const u32 expected = read_pod<u32>(in);
+    if (crc32(std::span<const std::byte>(data)) != expected) {
+      // A corrupt object loses that object, not the whole restore: the
+      // caller sees the count and decides whether the wave can proceed.
+      ++result.corrupt;
+      dart_.metrics().add_count(
+          /*app_id=*/0, dart_.metrics().intern("ckpt.corrupt_skipped"));
+      continue;
     }
     const DataLocation loc =
         store_object(*target, var, version, box, std::move(data));

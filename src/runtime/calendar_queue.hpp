@@ -16,8 +16,8 @@
 //   * Pop order is the same strict (vtime, seq) total order as the heap:
 //     same-vtime events share a bucket by construction, and the seq
 //     tie-break makes the order deterministic. test_calendar_queue pins
-//     pop-for-pop equivalence against the heap oracle
-//     (SimReadyQueue::kBinaryHeap) over seeded interleavings.
+//     pop-for-pop equivalence against a std::priority_queue oracle over
+//     seeded interleavings.
 //
 // The queue is *not* monotone: a notified fiber can re-enter with a
 // vtime earlier than the scan cursor (its virtual clock lags the fibers

@@ -25,9 +25,8 @@
 //
 // Determinism: the executor adds no ordering of its own. Each task runs
 // start-to-finish on one thread, so thread-local contracts (TraceContext
-// tracks, virtual clocks, metrics shard slots) behave exactly as under
-// thread-per-rank, and Runtime sorts collected failures by rank either
-// way.
+// tracks, virtual clocks, metrics shard slots) behave exactly as on a
+// dedicated thread, and Runtime sorts collected failures by rank.
 #pragma once
 
 #include <atomic>
@@ -43,8 +42,8 @@
 
 namespace cods {
 
-/// Counters describing one WorkStealingExecutor::run() (or the legacy
-/// thread-per-rank dispatch, which fills the same struct for benches).
+/// Counters describing one WorkStealingExecutor::run() (Runtime fills
+/// the same struct for kSimulate's single scheduler thread).
 struct ExecutorStats {
   i32 pool_size = 0;      ///< execution-slot cap (runnable threads)
   i32 total_spawned = 0;  ///< OS threads created over the run
@@ -117,7 +116,7 @@ class WorkStealingExecutor final : public blocking::Observer {
 
   mutable Mutex state_mutex_{"runtime.exec.state"};
   CondVar state_cv_;  ///< signals done to run(), wake-ups to spares
-  // codslint-allow(blocking): the pool's own threads (kThreads exec mode)
+  // codslint-allow(blocking): the pool's own threads (kPooled exec mode)
   std::vector<std::thread> threads_ CODS_GUARDED_BY(state_mutex_);
   i32 spares_parked_ CODS_GUARDED_BY(state_mutex_) = 0;
   i32 spare_wakeups_ CODS_GUARDED_BY(state_mutex_) = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <map>
-#include <thread>
 
 #include "health/task_clock.hpp"
 #include "trace/trace.hpp"
@@ -400,7 +399,7 @@ std::vector<RankFailure> Runtime::run_collect(
   std::vector<RankFailure> failures;
   // One rank body, shared by both dispatch modes: everything a rank can
   // observe (mailboxes, communicators, trace contexts, failure capture)
-  // is identical whether the thread under it is pooled or dedicated.
+  // is identical whether it runs on a pool thread or as a fiber.
   last_task_times_.assign(static_cast<size_t>(n), 0.0);
   const auto rank_main = [&](i32 r) {
     RankCtx ctx;
@@ -428,8 +427,8 @@ std::vector<RankFailure> Runtime::run_collect(
     WorkStealingExecutor executor(exec_pool_size_);
     executor.run(n, rank_main);
     last_exec_stats_ = executor.stats();
-  } else if (exec_mode_ == ExecMode::kSimulate) {
-    SimEngine sim(sim_stack_bytes_, sim_ready_queue_);
+  } else {
+    SimEngine sim(sim_stack_bytes_);
     sim.run(n, rank_main);
     last_sim_stats_ = sim.stats();
     last_exec_stats_ = ExecutorStats{};
@@ -437,19 +436,6 @@ std::vector<RankFailure> Runtime::run_collect(
     last_exec_stats_.total_spawned = 0;
     last_exec_stats_.peak_live = 1;
     last_exec_stats_.peak_blocked = last_sim_stats_.peak_blocked;
-  } else {
-    // codslint-allow(blocking): thread-per-rank exec mode spawns here
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(n));
-    for (i32 r = 0; r < n; ++r) {
-      threads.emplace_back([&rank_main, r] { rank_main(r); });
-    }
-    // codslint-allow(blocking): joining the ranks this mode spawned
-    for (auto& t : threads) t.join();
-    last_exec_stats_ = ExecutorStats{};
-    last_exec_stats_.pool_size = n;
-    last_exec_stats_.total_spawned = n;
-    last_exec_stats_.peak_live = n;
   }
   // Failure order must not depend on which thread reported first in
   // either mode.

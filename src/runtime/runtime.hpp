@@ -34,10 +34,6 @@ enum class ExecMode {
   /// hardware concurrency plus concurrently-blocked ranks, not with the
   /// rank count.
   kPooled,
-  /// One std::thread per rank — the pre-pool dispatch, kept for one
-  /// release as a fallback and as the benchmark baseline. Identical
-  /// observable behaviour (traces, ledgers, failure order).
-  kThreadPerRank,
   /// Single-threaded discrete-event enactment (runtime/sim.hpp,
   /// docs/SIMULATION.md): ranks run as cooperative fibers scheduled by
   /// virtual timestamp, so 100k-rank scenarios enact in seconds with the
@@ -230,7 +226,7 @@ class Runtime {
     return recv_timeout_.load(std::memory_order_relaxed);
   }
 
-  /// Runs one rank per entry of `placement`, each on its own thread, with a
+  /// Runs one rank per entry of `placement` under exec_mode(), with a
   /// world communicator spanning all of them. Blocks until all ranks
   /// return; rethrows the first rank exception.
   void run(const std::vector<CoreLoc>& placement,
@@ -254,29 +250,19 @@ class Runtime {
   i32 exec_pool_size() const { return exec_pool_size_; }
 
   /// Thread accounting of the most recent run()/run_collect(). Under
-  /// kThreadPerRank only pool_size/total_spawned/peak_live are filled
-  /// (all equal to the rank count); under kSimulate no rank threads are
-  /// spawned at all (total_spawned = 0, peak_live = 1 scheduler thread)
-  /// and the event-loop accounting lives in last_sim_stats().
+  /// kSimulate no rank threads are spawned at all (total_spawned = 0,
+  /// peak_live = 1 scheduler thread) and the event-loop accounting lives
+  /// in last_sim_stats().
   const ExecutorStats& last_exec_stats() const { return last_exec_stats_; }
 
   /// Discrete-event accounting of the most recent kSimulate
-  /// run()/run_collect(); zeroed by the live modes.
+  /// run()/run_collect(); zeroed by kPooled.
   const SimStats& last_sim_stats() const { return last_sim_stats_; }
 
   /// Per-fiber stack bytes for ExecMode::kSimulate; <= 0 (the default)
   /// selects SimEngine::kDefaultStackBytes. Set between waves.
   void set_sim_stack_bytes(i64 bytes) { sim_stack_bytes_ = bytes; }
   i64 sim_stack_bytes() const { return sim_stack_bytes_; }
-
-  /// Ready structure for ExecMode::kSimulate (runtime/sim.hpp): the
-  /// calendar queue by default, or the binary-heap oracle — schedules
-  /// are identical, so this only trades event-loop constants. Set
-  /// between waves.
-  void set_sim_ready_queue(SimReadyQueue ready_queue) {
-    sim_ready_queue_ = ready_queue;
-  }
-  SimReadyQueue sim_ready_queue() const { return sim_ready_queue_; }
 
   /// Per-task deadline in modelled seconds installed into every rank's
   /// TaskClock (src/health/task_clock.hpp); 0 = none. Set between waves.
@@ -340,7 +326,6 @@ class Runtime {
   ExecMode exec_mode_ = ExecMode::kPooled;
   i32 exec_pool_size_ = 0;  ///< <= 0: default_pool_size()
   i64 sim_stack_bytes_ = 0;  ///< <= 0: SimEngine::kDefaultStackBytes
-  SimReadyQueue sim_ready_queue_ = SimReadyQueue::kCalendar;
   ExecutorStats last_exec_stats_;
   SimStats last_sim_stats_;
   double task_deadline_ = 0.0;  ///< set between waves (see set_task_deadline)

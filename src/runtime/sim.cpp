@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -225,36 +224,6 @@ struct TimedAfter {
   }
 };
 
-/// The ready structure behind SimReadyQueue: the calendar queue or the
-/// binary-heap oracle. Both pop the identical (vtime, seq) order.
-struct ReadyQueue {
-  explicit ReadyQueue(SimReadyQueue kind) : kind(kind) {}
-
-  bool empty() const {
-    return kind == SimReadyQueue::kCalendar ? calendar.empty() : heap.empty();
-  }
-  void push(ReadyItem item) {
-    if (kind == SimReadyQueue::kCalendar) {
-      calendar.push(item);
-    } else {
-      heap.push(item);
-    }
-  }
-  ReadyItem pop() {
-    if (kind == SimReadyQueue::kCalendar) return calendar.pop();
-    const ReadyItem item = heap.top();
-    heap.pop();
-    return item;
-  }
-  u64 rebuilds() const {
-    return kind == SimReadyQueue::kCalendar ? calendar.rebuilds() : 0;
-  }
-
-  const SimReadyQueue kind;
-  CalendarQueue calendar;
-  std::priority_queue<ReadyItem, std::vector<ReadyItem>, ReadyAfter> heap;
-};
-
 u64 read_peak_rss_bytes() {
 #if defined(CODS_SIM_RUSAGE)
   struct rusage usage {};
@@ -270,12 +239,10 @@ u64 read_peak_rss_bytes() {
 }
 
 struct Impl : blocking::SimHook {
-  Impl(i64 stack_bytes, SimReadyQueue ready_queue, SimStats* stats,
-       const std::function<void(i32)>& body)
+  Impl(i64 stack_bytes, SimStats* stats, const std::function<void(i32)>& body)
       : stats_(stats),
         body_(body),
-        arena_(static_cast<std::size_t>(stack_bytes)),
-        ready_(ready_queue) {}
+        arena_(static_cast<std::size_t>(stack_bytes)) {}
 
   // ---- scheduler ----
 
@@ -670,7 +637,7 @@ struct Impl : blocking::SimHook {
   std::vector<std::pair<i32, std::exception_ptr>> errors_;
   ContextRec sched_;
   Fiber* cur_ = nullptr;
-  ReadyQueue ready_;
+  CalendarQueue ready_;
   WaitTable cv_waiters_;
   WaitTable mutex_waiters_;
   /// Lazy-deletion binary heap of virtual deadlines; timed_live_ counts
@@ -704,16 +671,15 @@ void fiber_trampoline() {
 
 }  // namespace
 
-SimEngine::SimEngine(i64 stack_bytes, SimReadyQueue ready_queue)
-    : stack_bytes_(stack_bytes > 0 ? stack_bytes : kDefaultStackBytes),
-      ready_queue_(ready_queue) {}
+SimEngine::SimEngine(i64 stack_bytes)
+    : stack_bytes_(stack_bytes > 0 ? stack_bytes : kDefaultStackBytes) {}
 
 void SimEngine::run(i32 ntasks, const std::function<void(i32)>& body) {
   stats_ = SimStats{};
   if (ntasks <= 0) return;
   CODS_CHECK(blocking::sim_hook() == nullptr,
              "simulate: nested SimEngine runs on one thread");
-  Impl impl(stack_bytes_, ready_queue_, &stats_, body);
+  Impl impl(stack_bytes_, &stats_, body);
   impl.run(ntasks);
 }
 

@@ -29,17 +29,6 @@
 
 namespace cods {
 
-/// Which ready structure orders runnable fibers by (vtime, seq).
-/// kCalendar is the default; kBinaryHeap is the original
-/// std::priority_queue, retained as the exact-equivalence oracle
-/// (tests/runtime/test_calendar_queue.cpp) — both produce the identical
-/// strict total order, so every enactment is schedule-identical under
-/// either.
-enum class SimReadyQueue {
-  kCalendar,    ///< calendar queue (runtime/calendar_queue.hpp)
-  kBinaryHeap,  ///< binary min-heap oracle
-};
-
 /// Accounting of one SimEngine::run(): the discrete-event counterpart of
 /// ExecutorStats (runtime/executor.hpp).
 struct SimStats {
@@ -55,8 +44,7 @@ struct SimStats {
   u64 arena_bytes = 0;    ///< stack-arena bytes made writable (stacks x size)
   u64 peak_rss_bytes = 0;  ///< process peak RSS after the run (high-water
                            ///< mark over the process lifetime, not per-run)
-  u64 ready_rebuilds = 0;  ///< calendar-queue bucket rebuilds (0 under the
-                           ///< binary-heap oracle)
+  u64 ready_rebuilds = 0;  ///< calendar-queue bucket rebuilds
 };
 
 /// Single-threaded discrete-event executor with the same run(n, body)
@@ -71,10 +59,8 @@ class SimEngine {
   /// Stacks come from a guard-paged slab arena (runtime/stack_arena.hpp)
   /// and recycle at fiber retirement, so the carved-slot count tracks
   /// peak co-residency and only pages a rank actually touches become
-  /// resident. `ready_queue` selects the ready structure (the heap is
-  /// the pinned equivalence oracle; schedules are identical).
-  explicit SimEngine(i64 stack_bytes = 0,
-                     SimReadyQueue ready_queue = SimReadyQueue::kCalendar);
+  /// resident.
+  explicit SimEngine(i64 stack_bytes = 0);
 
   /// Runs bodies 0..ntasks-1 to completion on the calling thread.
   /// Rethrows the lowest-index escaped exception after the run drains
@@ -88,7 +74,6 @@ class SimEngine {
 
  private:
   i64 stack_bytes_;
-  SimReadyQueue ready_queue_;
   SimStats stats_;
 };
 

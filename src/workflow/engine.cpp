@@ -184,7 +184,6 @@ std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
   runtime.set_exec_mode(options.exec_mode);
   runtime.set_exec_pool_size(options.exec_pool_size);
   runtime.set_sim_stack_bytes(options.sim_stack_bytes);
-  runtime.set_sim_ready_queue(options.sim_ready_queue);
   const auto failures = runtime.run_collect(cores, [&](RankCtx& ctx) {
     const TaskId task = tasks[static_cast<size_t>(ctx.global_rank)];
     const RegisteredApp& reg = app(task.app_id);
@@ -302,7 +301,6 @@ void WorkflowServer::mitigate_stragglers(
     // costs the same as a dedicated thread.
     runtime.set_exec_mode(options.exec_mode);
     runtime.set_sim_stack_bytes(options.sim_stack_bytes);
-    runtime.set_sim_ready_queue(options.sim_ready_queue);
     space_.set_speculation(true);
     const std::vector<CoreLoc> cores{CoreLoc{target, 0}};
     const TaskId spec_task = task;

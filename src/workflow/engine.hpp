@@ -54,8 +54,7 @@ struct WorkflowOptions {
   /// point-to-point sends land in one reconcilable log.
   TransferLog* transfer_log = nullptr;
   /// Rank dispatch for every wave (docs/PERF.md "Enactment scaling").
-  /// kPooled runs ranks on a bounded work-stealing pool; kThreadPerRank
-  /// restores the legacy one-thread-per-rank dispatch; kSimulate enacts
+  /// kPooled runs ranks on a bounded work-stealing pool; kSimulate enacts
   /// ranks as discrete events on one thread (docs/SIMULATION.md). All
   /// observable outputs (traces, ledgers, failure handling) are
   /// identical — the cross-mode equivalence suites pin this. Applies to
@@ -69,11 +68,6 @@ struct WorkflowOptions {
   /// SimEngine::kDefaultStackBytes. A memory/depth trade-off knob for
   /// 100k-rank enactments.
   i64 sim_stack_bytes = 0;
-  /// Ready-structure for kSimulate's event loop. kCalendar (default) is
-  /// the O(1)-amortized calendar queue; kBinaryHeap retains the original
-  /// heap as an equivalence oracle. Pop order — and therefore every
-  /// observable output — is identical between the two.
-  SimReadyQueue sim_ready_queue = SimReadyQueue::kCalendar;
   /// Health subsystem (docs/FAULT_MODEL.md "Failure detection"): when
   /// `fault` is set the engine learns of node deaths exclusively through
   /// a heartbeat-driven phi-accrual detector configured here — it never
@@ -131,7 +125,7 @@ class WorkflowServer {
   /// event counters (switches, notifies, timeouts, ...) sum across the
   /// waves the run enacted; high-water marks (peak_blocked, stacks,
   /// arena_bytes, peak_rss_bytes) take the per-wave max. All zeros
-  /// under ExecMode::kLive.
+  /// under ExecMode::kPooled.
   const SimStats& last_sim_stats() const { return sim_stats_; }
 
   /// Human-readable per-application traffic summary of the whole run

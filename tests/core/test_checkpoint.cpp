@@ -248,10 +248,10 @@ TEST_F(CheckpointCorruptionTest, CorruptCrcFooterSkipsObject) {
   EXPECT_TRUE(fresh.variables().empty());
 }
 
-TEST_F(CheckpointCorruptionTest, LegacyV1CheckpointStillLoads) {
-  // Forward compatibility: a v1 stream (no CRC footers) is synthesized from
-  // the v2 bytes by patching the magic and stripping the footer — it must
-  // load without integrity checking.
+TEST_F(CheckpointCorruptionTest, V1CheckpointRejectedAsBadMagic) {
+  // Format v1 (no CRC footers) is no longer read: a v1 stream synthesized
+  // from the v2 bytes by patching the magic and stripping the footer must
+  // fail the magic check before it touches the space.
   std::string bytes = one_object_bytes();
   ASSERT_EQ(bytes[7], '2');
   bytes[7] = '1';
@@ -259,13 +259,60 @@ TEST_F(CheckpointCorruptionTest, LegacyV1CheckpointStillLoads) {
   std::stringstream stream(std::move(bytes));
   Metrics metrics2;
   CodsSpace fresh(cluster_, metrics2, Box{{0, 0}, {15, 15}});
-  EXPECT_EQ(fresh.load_checkpoint(stream), 1u);
-  EXPECT_EQ(metrics2.total_count("ckpt.corrupt_skipped"), 0u);
-  CodsClient consumer(fresh, Endpoint{6, CoreLoc{3, 0}}, 2);
+  put(fresh, 1, "w", 0, Box{{8, 8}, {15, 15}}, 4);
+  const u64 stored = fresh.stored_bytes();
+  const std::vector<std::string> vars = fresh.variables();
+  std::vector<i64> records;
+  for (i32 node = 0; node < cluster_.num_nodes(); ++node) {
+    records.push_back(fresh.dht().node_record_count(node));
+  }
+  const u64 v_epoch = fresh.dht().epoch("v", 0);
+
+  try {
+    fresh.load_checkpoint(stream);
+    ADD_FAILURE() << "a v1 checkpoint loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fresh.stored_bytes(), stored);
+  EXPECT_EQ(fresh.variables(), vars);
+  for (i32 node = 0; node < cluster_.num_nodes(); ++node) {
+    EXPECT_EQ(fresh.dht().node_record_count(node),
+              records[static_cast<size_t>(node)])
+        << "node " << node;
+  }
+  EXPECT_EQ(fresh.dht().epoch("v", 0), v_epoch);
+}
+
+TEST_F(CheckpointCorruptionTest, RestoreLostRejectsV1Checkpoint) {
+  // The engine's recovery path reads checkpoints through restore_lost, not
+  // load_checkpoint: a v1 snapshot must be refused there too, restoring
+  // nothing, while the v2 snapshot of the same object still recovers it.
+  const std::string v2 = one_object_bytes();
+  std::string v1 = v2;
+  v1[7] = '1';
+  v1.resize(v1.size() - 4);
   const Box box{{0, 0}, {7, 7}};
-  std::vector<std::byte> out(box_bytes(box, 8));
-  consumer.get_seq("v", 0, box, out, 8);
-  EXPECT_EQ(verify_pattern(out, box, 8, 1), 0u);
+  ASSERT_EQ(space_.drop_node(0), box_bytes(box, 8));
+  const auto to_node_2 = [](i32) -> std::optional<i32> { return 2; };
+
+  std::stringstream v1_stream(std::move(v1));
+  try {
+    space_.restore_lost(v1_stream, to_node_2);
+    ADD_FAILURE() << "a v1 checkpoint was restored";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(space_.stored_bytes(), 0u);
+  EXPECT_TRUE(space_.catalog("v", 0).empty());
+
+  std::stringstream v2_stream(v2);
+  EXPECT_EQ(space_.restore_lost(v2_stream, to_node_2), box_bytes(box, 8));
+  ASSERT_EQ(space_.catalog("v", 0).size(), 1u);
+  EXPECT_EQ(space_.catalog("v", 0)[0].owner_loc.node, 2);
+  EXPECT_EQ(space_.stored_bytes(), box_bytes(box, 8));
 }
 
 TEST_F(CheckpointCorruptionTest, AllObjectsCorruptLoadsEmpty) {

@@ -52,34 +52,5 @@ TEST(FuzzDifferential, GeneratedScenariosAgreeAcrossModes) {
   }
 }
 
-// kThreadPerRank is the legacy dispatch; keep a small cross-section of
-// the space pinned against it too (three-way equivalence).
-TEST(FuzzDifferential, LegacyDispatchAgreesOnCleanScenarios) {
-  const u64 base = testing::fuzz_base_seed(kDefaultBase) + 500;
-  const i32 count = testing::fuzz_count(8);
-  wfgen::GenParams params;
-  params.allow_faults = false;  // keep the slow mode on small clean runs
-  params.max_nodes = 4;
-  params.max_cores_per_node = 4;
-  for (i32 i = 0; i < count; ++i) {
-    const u64 seed = base + static_cast<u64>(i);
-    CODS_SEED_TRACE("CODS_FUZZ_SEED", seed);
-    const wfgen::ScenarioSpec spec = wfgen::generate(seed, params);
-    wfgen::EnactResult sim;
-    wfgen::EnactResult legacy;
-    if (!enact_checked(spec, {.mode = ExecMode::kSimulate}, sim)) continue;
-    if (!enact_checked(spec, {.mode = ExecMode::kThreadPerRank}, legacy)) {
-      continue;
-    }
-    const std::string diff = wfgen::diff_runs(sim, legacy);
-    if (!diff.empty()) {
-      dump_scenario(spec);
-      ADD_FAILURE() << "scenario seed " << seed
-                    << " diverges between kSimulate and kThreadPerRank: "
-                    << diff;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace cods

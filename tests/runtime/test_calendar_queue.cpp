@@ -4,8 +4,8 @@
 // and pops, monotone and bursty vtime distributions, and sizes that
 // cross every resize threshold. The simulate engine's cross-mode
 // equivalence guarantees (docs/SIMULATION.md) reduce to this property:
-// both ready structures realize the same strict (vtime, seq) order, so
-// kCalendar and kBinaryHeap produce identical schedules.
+// the calendar queue realizes the same strict (vtime, seq) order as a
+// binary heap, so the engine's schedules are those a heap would produce.
 
 #include "runtime/calendar_queue.hpp"
 

@@ -1,7 +1,7 @@
 // Work-stealing executor tests (docs/PERF.md "Enactment scaling"): task
 // coverage, bounded thread counts, blocking-aware escalation under
 // mailbox receives, collectives and lock-service waits, and failure
-// ordering identical to the legacy thread-per-rank dispatch.
+// ordering identical to the kSimulate dispatch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -192,39 +192,54 @@ std::vector<RankFailure> run_failing_ranks(ExecMode mode) {
   });
 }
 
-TEST(PooledRuntime, FailureOrderingMatchesThreadPerRank) {
+TEST(PooledRuntime, FailureOrderingMatchesSimulate) {
   const auto pooled = run_failing_ranks(ExecMode::kPooled);
-  const auto legacy = run_failing_ranks(ExecMode::kThreadPerRank);
-  ASSERT_EQ(pooled.size(), legacy.size());
+  const auto sim = run_failing_ranks(ExecMode::kSimulate);
+  ASSERT_EQ(pooled.size(), sim.size());
   ASSERT_FALSE(pooled.empty());
   for (size_t i = 0; i < pooled.size(); ++i) {
-    EXPECT_EQ(pooled[i].global_rank, legacy[i].global_rank);
+    EXPECT_EQ(pooled[i].global_rank, sim[i].global_rank);
     std::string pooled_what;
-    std::string legacy_what;
+    std::string sim_what;
     try {
       std::rethrow_exception(pooled[i].error);
     } catch (const std::exception& e) {
       pooled_what = e.what();
     }
     try {
-      std::rethrow_exception(legacy[i].error);
+      std::rethrow_exception(sim[i].error);
     } catch (const std::exception& e) {
-      legacy_what = e.what();
+      sim_what = e.what();
     }
-    EXPECT_EQ(pooled_what, legacy_what);
+    EXPECT_EQ(pooled_what, sim_what);
   }
 }
 
-TEST(PooledRuntime, LegacyModeReportsThreadPerRankStats) {
+TEST(PooledRuntime, StatsDescribeTheLastDispatch) {
+  // run_collect has two dispatches, and the last one owns both stats
+  // records: non-blocking ranks stay on the capped pool (never a thread
+  // per rank), and a pooled run zeroes the preceding simulate SimStats.
   Cluster cluster(ClusterSpec{.num_nodes = 1, .cores_per_node = 16});
   Metrics metrics;
   Runtime runtime(cluster, metrics);
-  runtime.set_exec_mode(ExecMode::kThreadPerRank);
-  const auto failures =
-      runtime.run_collect(grid_placement(cluster, 16), [](RankCtx&) {});
-  EXPECT_TRUE(failures.empty());
-  EXPECT_EQ(runtime.last_exec_stats().total_spawned, 16);
-  EXPECT_EQ(runtime.last_exec_stats().peak_live, 16);
+  runtime.set_exec_pool_size(4);
+  const auto placement = grid_placement(cluster, 16);
+  const auto noop = [](RankCtx&) {};
+
+  runtime.set_exec_mode(ExecMode::kSimulate);
+  EXPECT_TRUE(runtime.run_collect(placement, noop).empty());
+  EXPECT_EQ(runtime.last_sim_stats().fibers, 16);
+  EXPECT_EQ(runtime.last_exec_stats().total_spawned, 0);
+  EXPECT_EQ(runtime.last_exec_stats().peak_live, 1);
+
+  runtime.set_exec_mode(ExecMode::kPooled);
+  EXPECT_TRUE(runtime.run_collect(placement, noop).empty());
+  EXPECT_EQ(runtime.last_sim_stats().fibers, 0);
+  const ExecutorStats& stats = runtime.last_exec_stats();
+  EXPECT_EQ(stats.pool_size, 4);
+  EXPECT_EQ(stats.total_spawned, 4);
+  EXPECT_LE(stats.peak_live, 4);
+  EXPECT_EQ(stats.escalations, 0);
 }
 
 }  // namespace

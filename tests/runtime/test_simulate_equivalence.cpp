@@ -275,7 +275,7 @@ TEST(SimulateRuntime, RingPipelineMatchesPooled) {
 
 TEST(SimulateRuntime, SingleRankHonorsSimulateMode) {
   // Regression for the engine's old one-rank fast path that silently
-  // forced kThreadPerRank: a single rank must still run as a fiber.
+  // forced a live thread: a single rank must still run as a fiber.
   Cluster cluster(ClusterSpec{.num_nodes = 1, .cores_per_node = 4});
   Metrics metrics;
   Runtime runtime(cluster, metrics);
@@ -509,7 +509,7 @@ TEST(SimulateEquivalence, FaultInjectedTopologies) {
 
 /// Straggler speculation: a 50x slowdown on node 0 makes its tasks
 /// stragglers, and speculation re-executes them — through the same
-/// one-rank enactment path that once hardcoded kThreadPerRank.
+/// one-rank enactment path that once hardcoded a live thread.
 TEST(SimulateEquivalence, SpeculationTopology) {
   wfgen::ScenarioSpec spec;
   spec.seed = 41;
@@ -573,9 +573,6 @@ TEST(SimulateEquivalence, SingleRankWorkflowIdenticalAcrossModes) {
   const wfgen::EnactResult pooled =
       wfgen::enact(spec, {.mode = ExecMode::kPooled});
   EXPECT_GT(pooled.stored_bytes, 0u);
-  const wfgen::EnactResult legacy =
-      wfgen::enact(spec, {.mode = ExecMode::kThreadPerRank});
-  EXPECT_EQ(wfgen::diff_runs(pooled, legacy), "");
   const wfgen::EnactResult sim =
       wfgen::enact(spec, {.mode = ExecMode::kSimulate});
   EXPECT_EQ(wfgen::diff_runs(pooled, sim), "");

@@ -2,11 +2,14 @@
 //
 // Every OS-blocking primitive the CondVar/SimHook funnel exists to replace,
 // including one hidden behind a type alias — the reason this check reads
-// the AST index instead of grepping.
+// the AST index instead of grepping — and every raw standard mutex and
+// lock guard the Mutex/MutexLock wrappers replace, again with one alias.
 
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <mutex>
+#include <shared_mutex>
 #include <thread>
 
 namespace bait_blocking {
@@ -39,6 +42,31 @@ struct Worker {
   deadline() {
     return std::chrono::steady_clock::now() +  // codslint-expect(clock)
            std::chrono::milliseconds(5);
+  }
+};
+
+using Reentrant = std::recursive_mutex;  // codslint-expect(blocking)
+
+struct RawLocks {
+  std::mutex mu_;                        // codslint-expect(blocking)
+  std::shared_mutex rw_;                 // codslint-expect(blocking)
+  std::recursive_mutex re_;              // codslint-expect(blocking)
+  std::timed_mutex timed_;               // codslint-expect(blocking)
+  std::recursive_timed_mutex re_timed_;  // codslint-expect(blocking)
+  std::shared_timed_mutex rw_timed_;     // codslint-expect(blocking)
+  Reentrant aliased_;                    // codslint-expect(blocking)
+
+  void exclusive() {
+    std::lock_guard guard(mu_);          // codslint-expect(blocking)
+  }
+  void scoped() {
+    std::scoped_lock guard(mu_);         // codslint-expect(blocking)
+  }
+  void unique() {
+    std::unique_lock guard(mu_);         // codslint-expect(blocking)
+  }
+  void shared() {
+    std::shared_lock guard(rw_);         // codslint-expect(blocking)
   }
 };
 

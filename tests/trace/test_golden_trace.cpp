@@ -148,52 +148,46 @@ std::vector<TransferRecord> normalized(std::vector<TransferRecord> journal) {
   return journal;
 }
 
-void expect_same_run(const TracedRun& pooled, const TracedRun& legacy) {
+void expect_same_run(const TracedRun& pooled, const TracedRun& sim) {
   EXPECT_EQ(pooled.mismatches, 0u);
-  EXPECT_EQ(legacy.mismatches, 0u);
+  EXPECT_EQ(sim.mismatches, 0u);
   ASSERT_FALSE(pooled.spans.empty());
   // Span ids and virtual clocks are keyed by (wave, attempt, rank)
   // tracks, never by threads, so the Chrome export must be bit-identical
-  // whether ranks ran on dedicated threads or on the bounded pool.
-  EXPECT_EQ(pooled.json, legacy.json);
+  // whether ranks ran on the bounded pool or as fibers on one thread.
+  EXPECT_EQ(pooled.json, sim.json);
   const auto pooled_journal = normalized(pooled.journal);
-  const auto legacy_journal = normalized(legacy.journal);
-  ASSERT_EQ(pooled_journal.size(), legacy_journal.size());
+  const auto sim_journal = normalized(sim.journal);
+  ASSERT_EQ(pooled_journal.size(), sim_journal.size());
   for (size_t i = 0; i < pooled_journal.size(); ++i) {
     const TransferRecord& p = pooled_journal[i];
-    const TransferRecord& l = legacy_journal[i];
-    EXPECT_EQ(p.src.node, l.src.node);
-    EXPECT_EQ(p.src.core, l.src.core);
-    EXPECT_EQ(p.dst.node, l.dst.node);
-    EXPECT_EQ(p.dst.core, l.dst.core);
-    EXPECT_EQ(p.bytes, l.bytes);
-    EXPECT_EQ(p.via_network, l.via_network);
-    EXPECT_EQ(p.app_id, l.app_id);
+    const TransferRecord& q = sim_journal[i];
+    EXPECT_EQ(p.src.node, q.src.node);
+    EXPECT_EQ(p.src.core, q.src.core);
+    EXPECT_EQ(p.dst.node, q.dst.node);
+    EXPECT_EQ(p.dst.core, q.dst.core);
+    EXPECT_EQ(p.bytes, q.bytes);
+    EXPECT_EQ(p.via_network, q.via_network);
+    EXPECT_EQ(p.app_id, q.app_id);
   }
   for (i32 app = 0; app < 3; ++app) {
-    EXPECT_EQ(pooled.inter[app].shm_bytes, legacy.inter[app].shm_bytes);
-    EXPECT_EQ(pooled.inter[app].net_bytes, legacy.inter[app].net_bytes);
-    EXPECT_EQ(pooled.intra[app].shm_bytes, legacy.intra[app].shm_bytes);
-    EXPECT_EQ(pooled.intra[app].net_bytes, legacy.intra[app].net_bytes);
+    EXPECT_EQ(pooled.inter[app].shm_bytes, sim.inter[app].shm_bytes);
+    EXPECT_EQ(pooled.inter[app].net_bytes, sim.inter[app].net_bytes);
+    EXPECT_EQ(pooled.intra[app].shm_bytes, sim.intra[app].shm_bytes);
+    EXPECT_EQ(pooled.intra[app].net_bytes, sim.intra[app].net_bytes);
   }
 }
 
-// Three-way pin across every exec mode: the pooled run is the
-// reference, and both the legacy thread-per-rank dispatch and the
-// discrete-event simulate mode must reproduce its export byte for byte.
+// Cross-mode pin: the pooled run is the reference, and the discrete-event
+// simulate mode must reproduce its export byte for byte.
 TEST(GoldenTrace, SequentialShapeIdenticalAcrossExecModes) {
-  const TracedRun pooled =
-      run_sequential_shape(21, nullptr, ExecMode::kPooled);
-  expect_same_run(
-      pooled, run_sequential_shape(21, nullptr, ExecMode::kThreadPerRank));
-  expect_same_run(pooled,
+  expect_same_run(run_sequential_shape(21, nullptr, ExecMode::kPooled),
                   run_sequential_shape(21, nullptr, ExecMode::kSimulate));
 }
 
 TEST(GoldenTrace, BundleShapeIdenticalAcrossExecModes) {
-  const TracedRun pooled = run_bundle_shape(23, ExecMode::kPooled);
-  expect_same_run(pooled, run_bundle_shape(23, ExecMode::kThreadPerRank));
-  expect_same_run(pooled, run_bundle_shape(23, ExecMode::kSimulate));
+  expect_same_run(run_bundle_shape(23, ExecMode::kPooled),
+                  run_bundle_shape(23, ExecMode::kSimulate));
 }
 
 TEST(GoldenTrace, LedgerReconcilesExactlyWithTransferLog) {

@@ -11,10 +11,16 @@ itself (common/sync.hpp, common/blocking.*), resolving type aliases so
 `using Waiter = std::condition_variable;` does not slip through where a
 regex would go blind.
 
-Thread spawn/join sites of the two thread-backed exec modes are real and
-deliberate — they are unreachable under kSimulate and carry audited
-codslint-allow markers rather than a file-level exemption, so a *new* spawn
-site still needs a review.
+The raw standard mutex family (std::mutex, std::lock_guard, ...) is banned
+on the same grounds: sync.hpp wraps it in the annotated Mutex / MutexLock
+types, so Clang's -Wthread-safety analysis, the lock-order registry and the
+SimHook see every acquisition. No separate rule bans the <mutex>-style
+headers; every name they declare that src/ could block on is listed here.
+
+Thread spawn/join sites of kPooled, the one thread-backed exec mode, are
+real and deliberate — they are unreachable under kSimulate and carry
+audited codslint-allow markers rather than a file-level exemption, so a
+*new* spawn site still needs a review.
 """
 
 from __future__ import annotations
@@ -52,6 +58,25 @@ BANNED_TYPES = {
         "semaphore acquire parks the OS thread outside the CondVar funnel",
 }
 
+RAW_MUTEX_MSG = ("raw standard mutex bypasses the Mutex funnel: simulate mode "
+                 "cannot park a fiber on it and the lock-order registry never "
+                 "sees it (use cods::Mutex / cods::SharedMutex, "
+                 "src/common/sync.hpp)")
+RAW_GUARD_MSG = ("raw standard lock guard bypasses the Mutex funnel (use "
+                 "cods::MutexLock / WriterLock / ReaderLock, "
+                 "src/common/sync.hpp)")
+BANNED_TYPES.update({
+    name: RAW_MUTEX_MSG
+    for name in ("std::mutex", "std::shared_mutex", "std::recursive_mutex",
+                 "std::timed_mutex", "std::recursive_timed_mutex",
+                 "std::shared_timed_mutex")
+})
+BANNED_TYPES.update({
+    name: RAW_GUARD_MSG
+    for name in ("std::lock_guard", "std::scoped_lock", "std::unique_lock",
+                 "std::shared_lock")
+})
+
 BANNED_CALLS = {
     "sleep_for": "sleeps the OS thread; simulate mode cannot advance past "
                  "it (model delays belong in the cost model)",
@@ -66,19 +91,19 @@ BANNED_CALLS = {
              "invisibly to the executor and the SimHook",
 }
 
-# std::thread itself: spawning/joining OS threads is the business of the
-# thread-backed exec modes only; every site needs an audited allow marker.
-THREAD_TYPE_MSG = ("raw std::thread in src/: only the thread-backed exec "
-                   "modes may spawn OS threads, and each site needs an "
+# std::thread itself: spawning/joining OS threads is the business of
+# kPooled's executor only; every site needs an audited allow marker.
+THREAD_TYPE_MSG = ("raw std::thread in src/: only the kPooled exec mode's "
+                   "executor may spawn OS threads, and each site needs an "
                    "audited allow marker (simulate mode must never reach it)")
 
 
 @register
 class BlockingCheck(Check):
     name = "blocking"
-    description = ("OS-blocking primitives (condition_variable, sleep, "
-                   "future/latch waits, raw threads) banned outside the "
-                   "CondVar/SimHook funnel")
+    description = ("OS-blocking primitives (condition_variable, raw "
+                   "mutexes and guards, sleep, future/latch waits, raw "
+                   "threads) banned outside the CondVar/SimHook funnel")
 
     def run(self, index: CodeIndex) -> list[Finding]:
         findings: list[Finding] = []
@@ -125,7 +150,7 @@ class BlockingCheck(Check):
                     findings.append(Finding(
                         self.name, call.file, call.line,
                         "thread join/detach blocks the calling OS thread; "
-                        "only the thread-backed exec modes may, under an "
-                        "audited allow marker", f"{fn.qualname}"))
+                        "only the kPooled exec mode's executor may, under "
+                        "an audited allow marker", f"{fn.qualname}"))
         findings.sort(key=lambda f: (f.file, f.line))
         return findings

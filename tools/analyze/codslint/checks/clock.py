@@ -4,9 +4,8 @@ The platform model is a pure function of its inputs: simulated time comes
 from the cost model, seeds come from explicit config (FaultSpec::seed,
 SplitMix in common/rng.hpp). A single wall-clock read or libc-random call
 in model code makes traces non-reproducible and breaks the bit-identical
-golden-trace suite. This subsumes check_sync.py's old determinism rules,
-now with alias resolution: `using Now = std::chrono::system_clock;` is
-caught at every use site.
+golden-trace suite. Aliases resolve: `using Now =
+std::chrono::system_clock;` is caught at every use site.
 
 std::chrono::steady_clock is confined to common/sync.hpp: recv-timeout
 deadlines are liveness bounds, not model inputs, but under

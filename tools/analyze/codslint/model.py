@@ -44,8 +44,9 @@ KEYWORDS = {
 CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch"}
 
 # Scoped-guard types of the sync layer (bare names; the canonicalizer strips
-# the cods:: qualification). std guards are banned by check_sync, but the
-# extractor still understands them so bait files exercise the same path.
+# the cods:: qualification). std guards are banned by the blocking check,
+# but the extractor still understands them so bait files exercise the same
+# path.
 GUARD_TYPES = {
     "MutexLock": "exclusive",
     "WriterLock": "exclusive",
