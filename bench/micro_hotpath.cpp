@@ -1,7 +1,6 @@
 // Hot-path microbenchmarks (docs/PERF.md): sharded vs single-mutex
 // metrics recording under concurrent ranks, interned vs string counter
-// ids, the client DHT lookup cache on repeated retrievals, and
-// small-transfer batching in HybridDART's pull path.
+// ids, and the client DHT lookup cache on repeated retrievals.
 //
 //   build/bench/micro_hotpath --benchmark_counters_tabular=true
 //
@@ -139,57 +138,6 @@ void BM_RepeatedGetSeq(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RepeatedGetSeq)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMicrosecond);
-
-// --------------------------------------------------------------------------
-// Small-transfer batching: 512 sub-threshold pulls over 16 routes.
-// Modelled times are identical (cost model sums bytes per route); the
-// benchmark shows the host-side cost of walking 512 vs 16 flows.
-// --------------------------------------------------------------------------
-
-struct PullBenchState {
-  Cluster cluster{ClusterSpec{.num_nodes = 4, .cores_per_node = 4}};
-  Metrics metrics;
-  HybridDart dart{cluster, metrics};
-  std::vector<std::byte> window;
-  std::vector<PullOp> ops;
-
-  PullBenchState() {
-    window.resize(512 * 1024);
-    // 16 producer cores (4 per node), each exposing one window that 512
-    // small ops pull slices of — 32 ops per (producer, consumer) route.
-    for (i32 p = 0; p < 16; ++p) {
-      dart.expose(p, /*key=*/1, window);
-    }
-    const CoreLoc consumer_loc{3, 3};
-    const i32 consumer_id = cluster.global_core(consumer_loc);
-    for (int i = 0; i < 512; ++i) {
-      const i32 p = static_cast<i32>(i % 16);
-      PullOp op;
-      op.local = Endpoint{consumer_id, consumer_loc};
-      op.remote = Endpoint{p, CoreLoc{p / 4, p % 4}};
-      op.key = 1;
-      op.bytes = 1024;  // well below the 64 KiB threshold
-      op.app_id = 2;
-      ops.push_back(op);
-    }
-  }
-};
-
-void BM_PullSmallWindows(benchmark::State& state) {
-  static PullBenchState s;
-  s.dart.set_batch_threshold(static_cast<u64>(state.range(0)));
-  double modelled = 0.0;
-  for (auto _ : state) {
-    modelled = s.dart.pull(s.ops);
-    benchmark::DoNotOptimize(modelled);
-  }
-  s.dart.set_batch_threshold(0);
-  state.SetLabel(state.range(0) == 0 ? "unbatched" : "batched-64KiB");
-  state.counters["modelled_s"] = modelled;
-  state.SetItemsProcessed(state.iterations() * 512);
-}
-BENCHMARK(BM_PullSmallWindows)->Arg(0)->Arg(64 * 1024)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -32,23 +32,23 @@ u64 fnv1a(const void* data, size_t len, u64 seed = 0xcbf29ce484222325ULL) {
   return h;
 }
 
-SfcCurve make_curve(const Box& domain, CurveKind kind) {
+SfcCurve make_curve(const Box& domain) {
   i64 max_extent = 1;
   for (int d = 0; d < domain.ndim(); ++d) {
     max_extent = std::max(max_extent, domain.extent(d));
   }
-  return SfcCurve(kind, domain.ndim(), SfcCurve::bits_for_extent(max_extent));
+  return SfcCurve(CurveKind::kHilbert, domain.ndim(),
+                  SfcCurve::bits_for_extent(max_extent));
 }
 
 }  // namespace
 
 CodsSpace::CodsSpace(const Cluster& cluster, Metrics& metrics,
-                     const Box& domain, CodsConfig config)
+                     const Box& domain)
     : cluster_(&cluster),
       domain_(domain),
-      dart_(cluster, metrics, config.cost),
-      dht_(cluster, make_curve(domain, config.curve),
-           config.dht_granularity_log2) {
+      dart_(cluster, metrics),
+      dht_(cluster, make_curve(domain)) {
   CODS_REQUIRE(domain.valid(), "domain must be non-empty");
   Point origin = Point::zeros(domain.ndim());
   CODS_REQUIRE(domain.lb == origin, "domain must be anchored at the origin");

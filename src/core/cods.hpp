@@ -30,13 +30,6 @@
 
 namespace cods {
 
-struct CodsConfig {
-  CurveKind curve = CurveKind::kHilbert;
-  /// Coarsening for DHT query routing (see CodsDht); 0 = exact spans.
-  int dht_granularity_log2 = 0;
-  CostParams cost;
-};
-
 /// Outcome of a put operation.
 struct PutResult {
   double model_time = 0.0;  ///< modelled completion time
@@ -81,11 +74,11 @@ struct GetResult {
 };
 
 /// The shared space. One instance per workflow run; shared by all
-/// execution clients. Thread-safe.
+/// execution clients. Thread-safe. Transfers are priced with the default
+/// CostParams and the DHT indexes exact Hilbert-curve spans.
 class CodsSpace {
  public:
-  CodsSpace(const Cluster& cluster, Metrics& metrics, const Box& domain,
-            CodsConfig config = {});
+  CodsSpace(const Cluster& cluster, Metrics& metrics, const Box& domain);
 
   const Cluster& cluster() const { return *cluster_; }
   HybridDart& dart() { return dart_; }

@@ -1,8 +1,6 @@
 #include "dart/dart.hpp"
 
 #include <cstring>
-#include <map>
-#include <tuple>
 
 #include "health/task_clock.hpp"
 #include "trace/trace.hpp"
@@ -152,38 +150,17 @@ double HybridDart::pull(std::span<PullOp> ops) {
                    op.bytes);
     }
   }
-  const u64 threshold = batch_threshold();
   std::vector<Flow> flows;
   flows.reserve(ops.size());
-  // Coalescing (docs/PERF.md): sub-threshold ops sharing a (source core,
-  // destination core) route are merged into one flow. The cost model's
-  // batch time depends only on per-route byte sums, so the modelled time
-  // is bit-identical; it just walks fewer flows.
-  std::map<std::tuple<i32, i32, i32, i32>, size_t> route_flow;
-  u64 coalesced = 0;
   {
     // Pin all source windows for the duration of the gather (see get()).
     ReaderLock lock(mutex_);
     for (PullOp& op : ops) {
       const auto win = window_locked(op.remote.client_id, op.key);
       if (op.copy) op.copy(win);
-      if (threshold > 0 && op.bytes < threshold) {
-        const auto [it, inserted] = route_flow.insert(
-            {{op.remote.loc.node, op.remote.loc.core, op.local.loc.node,
-              op.local.loc.core},
-             flows.size()});
-        if (inserted) {
-          flows.push_back(Flow{op.remote.loc, op.local.loc, op.bytes});
-        } else {
-          flows[it->second].bytes += op.bytes;
-          ++coalesced;
-        }
-      } else {
-        flows.push_back(Flow{op.remote.loc, op.local.loc, op.bytes});
-      }
+      flows.push_back(Flow{op.remote.loc, op.local.loc, op.bytes});
     }
   }
-  if (coalesced > 0) metrics_->add_count(0, coalesced_id_, coalesced);
   const double straggle =
       ops.empty() ? 1.0 : slowdown_factor(ops.front().local.loc.node);
   const double time = model_.batch_time(flows) * straggle;

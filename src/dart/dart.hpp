@@ -54,8 +54,7 @@ class HybridDart {
         model_(cluster, params),
         fault_retries_id_(metrics.intern("fault.retries")),
         fault_exhausted_id_(metrics.intern("fault.exhausted")),
-        fault_backoff_id_(metrics.intern("fault.backoff")),
-        coalesced_id_(metrics.intern("dart.coalesced_ops")) {}
+        fault_backoff_id_(metrics.intern("fault.backoff")) {}
 
   const Cluster& cluster() const { return *cluster_; }
   const CostModel& cost_model() const { return model_; }
@@ -119,20 +118,6 @@ class HybridDart {
   /// and returns the modelled completion time of the batch.
   double pull(std::span<PullOp> ops);
 
-  /// Small-transfer batching (docs/PERF.md): pull ops moving fewer than
-  /// `bytes` are coalesced per (source core, destination core) into one
-  /// modelled flow. 0 disables. The modelled batch time is bit-identical
-  /// (the cost model is a pure function of per-route byte sums) and the
-  /// byte ledger is untouched — every op's bytes and transfer count are
-  /// still recorded individually; only the number of flows the cost model
-  /// walks shrinks. Coalesced ops are counted in "dart.coalesced_ops".
-  void set_batch_threshold(u64 bytes) {
-    batch_threshold_.store(bytes, std::memory_order_relaxed);
-  }
-  u64 batch_threshold() const {
-    return batch_threshold_.load(std::memory_order_relaxed);
-  }
-
   /// Accounts `count` small control round-trips (e.g. DHT queries) and
   /// returns their modelled time.
   double rpc(const Endpoint& from, const Endpoint& to, u64 count = 1);
@@ -184,8 +169,6 @@ class HybridDart {
   Metrics::CounterId fault_retries_id_;
   Metrics::CounterId fault_exhausted_id_;
   Metrics::CounterId fault_backoff_id_;
-  Metrics::CounterId coalesced_id_;
-  std::atomic<u64> batch_threshold_{0};
   mutable SharedMutex mutex_{"dart.windows"};
   std::unordered_map<Key, std::span<std::byte>, KeyHash> windows_
       CODS_GUARDED_BY(mutex_);

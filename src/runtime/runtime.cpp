@@ -34,8 +34,8 @@ bool Comm::RecvRequest::test() {
   if (message_) return true;
   const i32 src_global =
       src_ == kAnySource ? kAnySource : comm_->global_rank(src_);
-  auto m = comm_->runtime_->mail_try_pop(comm_->global_rank(comm_->rank()),
-                                         src_global, comm_->comm_tag(tag_));
+  auto m = comm_->runtime_->mail().try_pop(comm_->global_rank(comm_->rank()),
+                                           src_global, comm_->comm_tag(tag_));
   if (m) message_ = std::move(*m);
   return message_.has_value();
 }
@@ -91,7 +91,7 @@ void Comm::send(i32 dst, i32 tag, std::span<const std::byte> payload) const {
   if (dst_global != src_global && !payload.empty()) {
     runtime_->note_transfer(app_id_, a, b, payload.size());
   }
-  runtime_->mail_push(dst_global, src_global, comm_tag(tag), payload);
+  runtime_->mail().push(dst_global, src_global, comm_tag(tag), payload);
 }
 
 Message Comm::recv(i32 src, i32 tag) const {
@@ -116,8 +116,8 @@ Message Comm::recv_impl(i32 src, i32 tag) const {
     if (src_global != kAnySource) {
       // A message the peer sent before dying is still deliverable; only
       // block on a live peer.
-      if (auto m = runtime_->mail_try_pop(my_global, src_global,
-                                          comm_tag(tag))) {
+      if (auto m = runtime_->mail().try_pop(my_global, src_global,
+                                            comm_tag(tag))) {
         return std::move(*m);
       }
       const i32 src_node = runtime_->loc(src_global).node;
@@ -128,7 +128,8 @@ Message Comm::recv_impl(i32 src, i32 tag) const {
       }
     }
   }
-  return runtime_->mail_pop(my_global, src_global, comm_tag(tag));
+  return runtime_->mail().pop(my_global, src_global, comm_tag(tag),
+                              runtime_->recv_timeout());
 }
 
 void Comm::barrier() const {
@@ -370,18 +371,7 @@ std::vector<RankFailure> Runtime::run_collect(
                  "placement outside the cluster");
   }
   placement_ = placement;
-  mailboxes_.clear();
-  sim_mail_.reset();
-  if (exec_mode_ == ExecMode::kSimulate) {
-    // One dense cell per rank instead of a Mailbox (mutex + condvar +
-    // deque) per rank: all fibers share the calling thread, so the
-    // per-rank lock sharding the live modes need is pure overhead here.
-    sim_mail_ = std::make_unique<SimMailboxPool>(n);
-  } else {
-    for (i32 r = 0; r < n; ++r) {
-      mailboxes_.push_back(std::make_unique<Mailbox>());
-    }
-  }
+  mail_ = std::make_unique<MailboxPool>(n);
   {
     // Groups registered by previous waves' splits are unreachable once
     // their Comm handles die with the rank bodies; drop them here so the
@@ -428,7 +418,7 @@ std::vector<RankFailure> Runtime::run_collect(
     executor.run(n, rank_main);
     last_exec_stats_ = executor.stats();
   } else {
-    SimEngine sim(sim_stack_bytes_);
+    SimEngine sim;
     sim.run(n, rank_main);
     last_sim_stats_ = sim.stats();
     last_exec_stats_ = ExecutorStats{};
@@ -467,41 +457,6 @@ void Runtime::note_transfer(i32 app_id, const CoreLoc& src, const CoreLoc& dst,
                 /*sequential=*/true, TraceFlags::kLedger,
                 pack_loc(src.node, src.core));
   }
-}
-
-void Runtime::mail_push(i32 dst_global, i32 src_global, i64 comm_tag,
-                        std::span<const std::byte> payload) {
-  if (sim_mail_ != nullptr) {
-    sim_mail_->push(dst_global, src_global, comm_tag, payload);
-    return;
-  }
-  Message m;
-  m.src_global = src_global;
-  m.comm_tag = comm_tag;
-  m.payload.assign(payload.begin(), payload.end());
-  mailbox(dst_global).push(std::move(m));
-}
-
-Message Runtime::mail_pop(i32 rank, i32 src_global, i64 comm_tag) {
-  if (sim_mail_ != nullptr) {
-    return sim_mail_->pop(rank, src_global, comm_tag, recv_timeout());
-  }
-  return mailbox(rank).pop(src_global, comm_tag, recv_timeout());
-}
-
-std::optional<Message> Runtime::mail_try_pop(i32 rank, i32 src_global,
-                                             i64 comm_tag) {
-  if (sim_mail_ != nullptr) {
-    return sim_mail_->try_pop(rank, src_global, comm_tag);
-  }
-  return mailbox(rank).try_pop(src_global, comm_tag);
-}
-
-Mailbox& Runtime::mailbox(i32 global_rank) {
-  CODS_REQUIRE(global_rank >= 0 &&
-                   global_rank < static_cast<i32>(mailboxes_.size()),
-               "global rank out of range");
-  return *mailboxes_[static_cast<size_t>(global_rank)];
 }
 
 CoreLoc Runtime::loc(i32 global_rank) const {

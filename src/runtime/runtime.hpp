@@ -4,10 +4,11 @@
 // per-application communicators (MPI_Comm_split, paper §IV-C), then run a
 // pre-linked application subroutine.
 //
-// Ranks are std::threads; point-to-point messages go through per-rank
-// mailboxes; every send is byte-accounted against the platform model using
-// the sender/receiver core placement. This substitutes for MPI per
-// DESIGN.md §1 while keeping real data movement and real concurrency.
+// Ranks run on a work-stealing pool or as simulated fibers; point-to-point
+// messages go through one mailbox plane (runtime/mailbox.hpp); every send
+// is byte-accounted against the platform model using the sender/receiver
+// core placement. This substitutes for MPI per DESIGN.md §1 while keeping
+// real data movement and real concurrency.
 #pragma once
 
 #include <atomic>
@@ -23,7 +24,6 @@
 #include "runtime/executor.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/sim.hpp"
-#include "runtime/sim_mailbox.hpp"
 
 namespace cods {
 
@@ -163,7 +163,7 @@ struct RankFailure {
   std::exception_ptr error;
 };
 
-/// The runtime: spawns ranks as threads and owns their mailboxes.
+/// The runtime: dispatches ranks and owns their mailbox plane.
 class Runtime {
  public:
   Runtime(const Cluster& cluster, Metrics& metrics, CostParams params = {})
@@ -259,11 +259,6 @@ class Runtime {
   /// run()/run_collect(); zeroed by kPooled.
   const SimStats& last_sim_stats() const { return last_sim_stats_; }
 
-  /// Per-fiber stack bytes for ExecMode::kSimulate; <= 0 (the default)
-  /// selects SimEngine::kDefaultStackBytes. Set between waves.
-  void set_sim_stack_bytes(i64 bytes) { sim_stack_bytes_ = bytes; }
-  i64 sim_stack_bytes() const { return sim_stack_bytes_; }
-
   /// Per-task deadline in modelled seconds installed into every rank's
   /// TaskClock (src/health/task_clock.hpp); 0 = none. Set between waves.
   void set_task_deadline(double deadline) { task_deadline_ = deadline; }
@@ -277,18 +272,9 @@ class Runtime {
   }
 
   // --- internals used by Comm ---
-  /// Mode-dispatching mailbox plane. The live modes keep one Mailbox per
-  /// rank (real threads contend on real locks); ExecMode::kSimulate
-  /// swaps the whole plane for a dense SimMailboxPool (one 64-byte cell
-  /// per rank, runtime/sim_mailbox.hpp) built by run_collect. Message
-  /// semantics — FIFO per match, timeout error, byte accounting — are
-  /// identical.
-  void mail_push(i32 dst_global, i32 src_global, i64 comm_tag,
-                 std::span<const std::byte> payload);
-  Message mail_pop(i32 rank, i32 src_global, i64 comm_tag);
-  std::optional<Message> mail_try_pop(i32 rank, i32 src_global, i64 comm_tag);
-  /// Live-mode per-rank mailbox (unused under kSimulate).
-  Mailbox& mailbox(i32 global_rank);
+  /// The mailbox plane of the current run, one cell per global rank,
+  /// built by run_collect for every exec mode.
+  MailboxPool& mail() { return *mail_; }
   CoreLoc loc(i32 global_rank) const;
   i64 alloc_comm_id() { return next_comm_id_.fetch_add(1); }
 
@@ -314,10 +300,7 @@ class Runtime {
   std::atomic<std::chrono::seconds> recv_timeout_{std::chrono::seconds(120)};
   // Rebuilt single-threadedly in run_collect() before ranks spawn and only
   // read while they execute (the spawn is the synchronization point).
-  // Exactly one of the two planes is populated per run: mailboxes_ for
-  // the live modes, sim_mail_ for kSimulate.
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::unique_ptr<SimMailboxPool> sim_mail_;
+  std::unique_ptr<MailboxPool> mail_;
   std::vector<CoreLoc> placement_;
   std::atomic<i64> next_comm_id_{1};
   Mutex comm_groups_mutex_{"runtime.comm_groups"};
@@ -325,7 +308,6 @@ class Runtime {
       CODS_GUARDED_BY(comm_groups_mutex_);
   ExecMode exec_mode_ = ExecMode::kPooled;
   i32 exec_pool_size_ = 0;  ///< <= 0: default_pool_size()
-  i64 sim_stack_bytes_ = 0;  ///< <= 0: SimEngine::kDefaultStackBytes
   ExecutorStats last_exec_stats_;
   SimStats last_sim_stats_;
   double task_deadline_ = 0.0;  ///< set between waves (see set_task_deadline)

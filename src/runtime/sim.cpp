@@ -239,10 +239,10 @@ u64 read_peak_rss_bytes() {
 }
 
 struct Impl : blocking::SimHook {
-  Impl(i64 stack_bytes, SimStats* stats, const std::function<void(i32)>& body)
+  Impl(SimStats* stats, const std::function<void(i32)>& body)
       : stats_(stats),
         body_(body),
-        arena_(static_cast<std::size_t>(stack_bytes)) {}
+        arena_(static_cast<std::size_t>(SimEngine::kDefaultStackBytes)) {}
 
   // ---- scheduler ----
 
@@ -671,15 +671,12 @@ void fiber_trampoline() {
 
 }  // namespace
 
-SimEngine::SimEngine(i64 stack_bytes)
-    : stack_bytes_(stack_bytes > 0 ? stack_bytes : kDefaultStackBytes) {}
-
 void SimEngine::run(i32 ntasks, const std::function<void(i32)>& body) {
   stats_ = SimStats{};
   if (ntasks <= 0) return;
   CODS_CHECK(blocking::sim_hook() == nullptr,
              "simulate: nested SimEngine runs on one thread");
-  Impl impl(stack_bytes_, &stats_, body);
+  Impl impl(&stats_, body);
   impl.run(ntasks);
 }
 

@@ -55,13 +55,6 @@ struct SimStats {
 /// blocking, since fibers are never preempted.
 class SimEngine {
  public:
-  /// Stack bytes reserved per fiber; <= 0 selects kDefaultStackBytes.
-  /// Stacks come from a guard-paged slab arena (runtime/stack_arena.hpp)
-  /// and recycle at fiber retirement, so the carved-slot count tracks
-  /// peak co-residency and only pages a rank actually touches become
-  /// resident.
-  explicit SimEngine(i64 stack_bytes = 0);
-
   /// Runs bodies 0..ntasks-1 to completion on the calling thread.
   /// Rethrows the lowest-index escaped exception after the run drains
   /// (run_collect's rank wrapper catches per-rank, so engine-driven
@@ -70,10 +63,13 @@ class SimEngine {
 
   const SimStats& stats() const { return stats_; }
 
+  /// Stack bytes reserved per fiber. Stacks come from a guard-paged slab
+  /// arena (runtime/stack_arena.hpp) and recycle at fiber retirement, so
+  /// the carved-slot count tracks peak co-residency and only pages a rank
+  /// actually touches become resident.
   static constexpr i64 kDefaultStackBytes = 96 * 1024;
 
  private:
-  i64 stack_bytes_;
   SimStats stats_;
 };
 

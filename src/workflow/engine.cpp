@@ -11,10 +11,8 @@
 namespace cods {
 
 WorkflowServer::WorkflowServer(const Cluster& cluster, Metrics& metrics,
-                               const Box& domain, CodsConfig config)
-    : cluster_(&cluster),
-      metrics_(&metrics),
-      space_(cluster, metrics, domain, config) {}
+                               const Box& domain)
+    : cluster_(&cluster), metrics_(&metrics), space_(cluster, metrics, domain) {}
 
 void WorkflowServer::register_app(AppSpec spec, AppFn fn,
                                   std::string consumes_var,
@@ -165,25 +163,20 @@ Placement WorkflowServer::map_wave(
   return placement;
 }
 
-std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
-    const Placement& placement, const WorkflowOptions& options, i32 wave_index,
-    i32 attempt, u64 wave_span_id, double wave_start,
-    std::vector<std::pair<TaskId, double>>* task_times) {
-  // Deterministic task order defines global ranks.
-  std::vector<TaskId> tasks;
-  std::vector<CoreLoc> cores;
-  for (const auto& [task, loc] : placement.all()) {
-    tasks.push_back(task);
-    cores.push_back(loc);
-  }
-  Runtime runtime(*cluster_, *metrics_, options.cost);
+std::vector<RankFailure> WorkflowServer::enact(
+    const std::vector<TaskId>& tasks, const std::vector<CoreLoc>& cores,
+    const WorkflowOptions& options, const WaveTrack* wave,
+    std::vector<double>& task_times) {
+  Runtime runtime(*cluster_, *metrics_);
   if (options.fault != nullptr) {
     runtime.set_fault(options.fault, options.retry);
   }
   runtime.set_transfer_log(options.transfer_log);
+  // Speculative copies run under the caller's exec mode too: kSimulate
+  // must never fall back to a live thread (its cross-mode guarantees
+  // cover speculation).
   runtime.set_exec_mode(options.exec_mode);
   runtime.set_exec_pool_size(options.exec_pool_size);
-  runtime.set_sim_stack_bytes(options.sim_stack_bytes);
   const auto failures = runtime.run_collect(cores, [&](RankCtx& ctx) {
     const TaskId task = tasks[static_cast<size_t>(ctx.global_rank)];
     const RegisteredApp& reg = app(task.app_id);
@@ -191,10 +184,10 @@ std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
     // are then independent of thread scheduling, and a failover re-run
     // does not collide with the first attempt's spans.
     std::optional<TraceContext> tctx;
-    if (options.trace != nullptr) {
+    if (wave != nullptr && options.trace != nullptr) {
       const u64 track =
-          pack_rank_track(wave_index, attempt, ctx.global_rank);
-      tctx.emplace(*options.trace, track, wave_start, wave_span_id,
+          pack_rank_track(wave->index, wave->attempt, ctx.global_rank);
+      tctx.emplace(*options.trace, track, wave->start, wave->span_id,
                    task.app_id, ctx.loc.node, ctx.loc.core);
     }
     // Declared after tctx so the task span closes before the context
@@ -202,10 +195,14 @@ std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
     ScopedSpan task_span(SpanCategory::kTask, 0,
                          pack_task_detail(task.app_id, task.rank));
     // Color by app id, order by task rank: the paper's dynamic grouping.
+    // A speculative copy's world has exactly one rank, so comm.rank() is
+    // 0 even when task.rank is not — the subroutine must key off ctx.task.
     Comm comm = ctx.world.split(task.app_id, task.rank);
     comm.set_app_id(task.app_id);
-    CODS_CHECK(comm.valid() && comm.rank() == task.rank,
-               "task rank does not match communicator rank");
+    if (wave != nullptr) {
+      CODS_CHECK(comm.valid() && comm.rank() == task.rank,
+                 "task rank does not match communicator rank");
+    }
     CodsClient cods(space_,
                     Endpoint{cluster_->global_core(ctx.loc), ctx.loc},
                     task.app_id);
@@ -220,14 +217,28 @@ std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
   if (options.exec_mode == ExecMode::kSimulate) {
     accumulate_sim_stats(runtime.last_sim_stats());
   }
-  if (task_times != nullptr) {
-    // Straggler-detection input: each rank's TaskClock total (modelled
-    // seconds it spent in dart/runtime operations), keyed by task.
-    task_times->clear();
-    const std::vector<double>& times = runtime.last_task_times();
-    for (size_t i = 0; i < tasks.size() && i < times.size(); ++i) {
-      task_times->push_back({tasks[i], times[i]});
-    }
+  task_times = runtime.last_task_times();
+  return failures;
+}
+
+std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
+    const Placement& placement, const WorkflowOptions& options,
+    const WaveTrack& wave,
+    std::vector<std::pair<TaskId, double>>& task_times) {
+  // Deterministic task order defines global ranks.
+  std::vector<TaskId> tasks;
+  std::vector<CoreLoc> cores;
+  for (const auto& [task, loc] : placement.all()) {
+    tasks.push_back(task);
+    cores.push_back(loc);
+  }
+  std::vector<double> times;
+  const auto failures = enact(tasks, cores, options, &wave, times);
+  // Straggler-detection input: each rank's TaskClock total (modelled
+  // seconds it spent in dart/runtime operations), keyed by task.
+  task_times.clear();
+  for (size_t i = 0; i < tasks.size() && i < times.size(); ++i) {
+    task_times.push_back({tasks[i], times[i]});
   }
   std::vector<TaskFailure> out;
   out.reserve(failures.size());
@@ -290,48 +301,15 @@ void WorkflowServer::mitigate_stragglers(
         break;
       }
     }
-    Runtime runtime(*cluster_, *metrics_, options.cost);
-    if (options.fault != nullptr) {
-      runtime.set_fault(options.fault, options.retry);
-    }
-    runtime.set_transfer_log(options.transfer_log);
-    // The copy's world has one rank, but the caller's exec mode still
-    // governs: kSimulate must never fall back to a live thread (its
-    // cross-mode guarantees cover speculation), and a one-rank pool
-    // costs the same as a dedicated thread.
-    runtime.set_exec_mode(options.exec_mode);
-    runtime.set_sim_stack_bytes(options.sim_stack_bytes);
     space_.set_speculation(true);
-    const std::vector<CoreLoc> cores{CoreLoc{target, 0}};
-    const TaskId spec_task = task;
-    const auto spec_failures = runtime.run_collect(cores, [&](RankCtx& ctx) {
-      const RegisteredApp& reg = app(spec_task.app_id);
-      ScopedSpan task_span(SpanCategory::kTask, 0,
-                           pack_task_detail(spec_task.app_id, spec_task.rank));
-      // The copy's world has exactly one rank, so comm.rank() is 0 even
-      // when spec_task.rank is not — the subroutine must key off ctx.task.
-      Comm comm = ctx.world.split(spec_task.app_id, spec_task.rank);
-      comm.set_app_id(spec_task.app_id);
-      CodsClient cods(space_,
-                      Endpoint{cluster_->global_core(ctx.loc), ctx.loc},
-                      spec_task.app_id);
-      AppCtx app_ctx;
-      app_ctx.spec = &reg.spec;
-      app_ctx.task = spec_task;
-      app_ctx.comm = comm;
-      app_ctx.cods = &cods;
-      app_ctx.cluster = cluster_;
-      reg.fn(app_ctx);
-    });
+    std::vector<double> spec_times;
+    const auto spec_failures =
+        enact({task}, {CoreLoc{target, 0}}, options, nullptr, spec_times);
     space_.set_speculation(false);
-    if (options.exec_mode == ExecMode::kSimulate) {
-      accumulate_sim_stats(runtime.last_sim_stats());
-    }
     ++report.speculated_tasks;
     metrics_->add_count(0, "health.speculated");
     // A failed copy is simply discarded — the original's output stands.
     if (!spec_failures.empty()) continue;
-    const std::vector<double>& spec_times = runtime.last_task_times();
     const double spec_time = spec_times.empty() ? time : spec_times.front();
     if (spec_time < time) {
       ++report.speculation_wins;
@@ -366,7 +344,6 @@ void WorkflowServer::run(const DagSpec& dag, WorkflowOptions options) {
   placements_.clear();
   sim_stats_ = SimStats{};
   space_.set_reexecution(false);
-  space_.dart().set_batch_threshold(options.dart_batch_threshold);
   if (options.transfer_log != nullptr) {
     // Only attach when the caller provided a journal: tests that hook a
     // log directly onto the transport must keep it across run().
@@ -454,9 +431,10 @@ void WorkflowServer::run(const DagSpec& dag, WorkflowOptions options) {
     std::vector<std::vector<i32>> to_run = wave;
     std::vector<std::pair<TaskId, double>> task_times;
     for (;;) {
-      const auto failures =
-          execute_wave(placement, options, wave_index, report.attempts - 1,
-                       wave_span_id, wave_start, &task_times);
+      const auto failures = execute_wave(
+          placement, options,
+          WaveTrack{wave_index, report.attempts - 1, wave_span_id, wave_start},
+          task_times);
       if (failures.empty()) break;
       report.failed_tasks += static_cast<i32>(failures.size());
 

@@ -34,16 +34,11 @@ using AppFn = std::function<void(AppCtx&)>;
 struct WorkflowOptions {
   MappingStrategy strategy = MappingStrategy::kDataCentric;
   u64 seed = 1;
-  CostParams cost;
   /// Optional fault injector (docs/FAULT_MODEL.md). When set, transfers
   /// and sends consult it, waves are checkpointed for recovery, and node
   /// deaths trigger failover + re-execution per `retry`.
   FaultInjector* fault = nullptr;
   RetryPolicy retry;
-  /// Small-transfer batching threshold forwarded to the transport
-  /// (HybridDart::set_batch_threshold, docs/PERF.md). 0 disables. Byte
-  /// accounting and modelled times are invariant under this knob.
-  u64 dart_batch_threshold = 0;
   /// Optional structured-event tracing (docs/TRACING.md). When set, the
   /// engine opens one span per wave and per task and every instrumented
   /// layer (dart, runtime, cods client, lock service, redistribution)
@@ -64,10 +59,6 @@ struct WorkflowOptions {
   /// Worker cap for kPooled; <= 0 selects the hardware-concurrency
   /// default. Also sizes the mapping-stage DHT lookup parallel-for.
   i32 exec_pool_size = 0;
-  /// Per-fiber stack bytes for kSimulate; <= 0 selects
-  /// SimEngine::kDefaultStackBytes. A memory/depth trade-off knob for
-  /// 100k-rank enactments.
-  i64 sim_stack_bytes = 0;
   /// Health subsystem (docs/FAULT_MODEL.md "Failure detection"): when
   /// `fault` is set the engine learns of node deaths exclusively through
   /// a heartbeat-driven phi-accrual detector configured here — it never
@@ -100,8 +91,7 @@ struct WaveReport {
 
 class WorkflowServer {
  public:
-  WorkflowServer(const Cluster& cluster, Metrics& metrics, const Box& domain,
-                 CodsConfig config = {});
+  WorkflowServer(const Cluster& cluster, Metrics& metrics, const Box& domain);
 
   /// Registers an application: its spec, the subroutine to run, and —
   /// for sequentially coupled consumers — the variable/version whose
@@ -151,10 +141,28 @@ class WorkflowServer {
                      const std::vector<i32>& allowed_nodes);
   std::vector<NodeBytes> dht_node_bytes(const RegisteredApp& consumer,
                                         const WorkflowOptions& options);
+  /// Trace placement of one scheduling wave's enactment.
+  struct WaveTrack {
+    i32 index = 0;
+    i32 attempt = 0;
+    u64 span_id = 0;
+    double start = 0.0;
+  };
+  /// One enactment, shared by scheduling waves and speculative copies:
+  /// global rank r runs tasks[r] on cores[r] inside its app's split
+  /// communicator with its own CodsClient. `wave` (null for a speculative
+  /// copy) gives every rank its own trace track and pins its communicator
+  /// rank to its task rank. `task_times` receives each rank's modelled
+  /// TaskClock total.
+  std::vector<RankFailure> enact(const std::vector<TaskId>& tasks,
+                                 const std::vector<CoreLoc>& cores,
+                                 const WorkflowOptions& options,
+                                 const WaveTrack* wave,
+                                 std::vector<double>& task_times);
   std::vector<TaskFailure> execute_wave(
       const Placement& placement, const WorkflowOptions& options,
-      i32 wave_index, i32 attempt, u64 wave_span_id, double wave_start,
-      std::vector<std::pair<TaskId, double>>* task_times = nullptr);
+      const WaveTrack& wave,
+      std::vector<std::pair<TaskId, double>>& task_times);
   void mitigate_stragglers(
       const std::vector<std::pair<TaskId, double>>& task_times,
       const Placement& placement, const WorkflowOptions& options,

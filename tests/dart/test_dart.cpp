@@ -139,51 +139,6 @@ TEST_F(DartTest, ShmPullFasterThanNetworkPull) {
   EXPECT_LT(dart_.pull(shm), dart_.pull(net));
 }
 
-TEST_F(DartTest, BatchThresholdCoalescesExactly) {
-  // Mixed batch: 8 small ops over two routes plus one large op. With the
-  // threshold on, the small ops coalesce per route; the modelled time is
-  // bit-identical (the cost model sums bytes per route either way) and
-  // the per-op byte ledger does not move.
-  auto win = bytes({0});
-  win.resize(1_MiB);
-  dart_.expose(1, 1, win);
-  dart_.expose(2, 2, win);
-  std::vector<PullOp> ops;
-  for (int i = 0; i < 8; ++i) {
-    PullOp op;
-    op.local = {0, {0, 0}};
-    op.remote = i % 2 == 0 ? Endpoint{1, {1, 0}} : Endpoint{2, {2, 0}};
-    op.key = i % 2 == 0 ? 1u : 2u;
-    op.bytes = 512;
-    op.app_id = 5;
-    ops.push_back(op);
-  }
-  PullOp big;
-  big.local = {0, {0, 0}};
-  big.remote = {1, {1, 0}};
-  big.key = 1;
-  big.bytes = 1_MiB;  // above threshold: keeps its own flow
-  big.app_id = 5;
-  ops.push_back(big);
-
-  const double unbatched = dart_.pull(ops);
-  const auto before = metrics_.counters(5, TrafficClass::kInterApp);
-  EXPECT_EQ(metrics_.total_count("dart.coalesced_ops"), 0u);
-
-  dart_.set_batch_threshold(64 * 1024);
-  const double batched = dart_.pull(ops);
-  dart_.set_batch_threshold(0);
-
-  EXPECT_EQ(batched, unbatched);  // bit-identical modelled time
-  // 8 small ops on 2 routes -> 2 flows: 6 ops merged away.
-  EXPECT_EQ(metrics_.total_count("dart.coalesced_ops"), 6u);
-  const auto after = metrics_.counters(5, TrafficClass::kInterApp);
-  // The second pull recorded exactly the same per-op bytes and transfer
-  // count as the first: coalescing never touches the ledger.
-  EXPECT_EQ(after.net_bytes, 2 * before.net_bytes);
-  EXPECT_EQ(after.transfers, 2 * before.transfers);
-}
-
 TEST_F(DartTest, RpcRecordsControlTraffic) {
   const Endpoint a{0, {0, 0}};
   const Endpoint b{1, {1, 0}};

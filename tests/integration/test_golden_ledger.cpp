@@ -1,12 +1,10 @@
-// Golden byte-ledger regressions (docs/PERF.md): the hot-path
-// optimisations — small-transfer batching in HybridDART and the client
-// DHT lookup cache — must be *accounting-invariant*. Scaled-down versions
-// of the paper's evaluation shapes (Fig. 8 concurrent coupling, Fig. 12
-// sequential coupling) run with the optimisations on and off; the per-app
-// payload ByteCounters, verified cell contents and injected-fault replay
-// traces must be identical. Only control-plane traffic may shrink (cache
-// hits legitimately skip query RPCs, like the schedule cache before
-// them).
+// Golden byte-ledger regressions (docs/PERF.md): the client DHT lookup
+// cache must be *accounting-invariant*. A scaled-down version of the
+// paper's Fig. 12 sequential coupling runs with the cache on and off; the
+// per-app payload ByteCounters, verified cell contents and
+// injected-fault replay traces must be identical. Only control-plane
+// traffic may shrink (cache hits legitimately skip query RPCs, like the
+// schedule cache before them).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,12 +22,11 @@ using testing::make_app;
 
 
 /// Ledger snapshot of one workflow run: everything that must be invariant
-/// under the hot-path optimisations.
+/// under the lookup cache.
 struct Ledger {
   ByteCounters inter[4];  ///< per app id 0..3, kInterApp
   ByteCounters intra[4];  ///< per app id 0..3, kIntraApp
   u64 mismatches = 0;
-  u64 coalesced = 0;
   u64 lookup_hits = 0;
   ByteCounters control;  ///< kControl total (may differ: smaller with cache)
   std::string fault_trace;
@@ -40,7 +37,6 @@ struct Ledger {
       inter[app] = m.counters(app, TrafficClass::kInterApp);
       intra[app] = m.counters(app, TrafficClass::kIntraApp);
     }
-    coalesced = m.total_count("dart.coalesced_ops");
     lookup_hits = m.total_count("dht.lookup_hit");
     control = m.total(TrafficClass::kControl);
     retries = m.total_count("fault.retries");
@@ -54,87 +50,6 @@ void expect_payload_identical(const Ledger& on, const Ledger& off) {
   }
   EXPECT_EQ(on.mismatches, 0u);
   EXPECT_EQ(off.mismatches, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Fig. 8 shape: producer + consumer bundled concurrently, coupled through
-// put_cont/get_cont, with a sequential redistribution wave behind them.
-// Batching toggled via WorkflowOptions::dart_batch_threshold.
-// ---------------------------------------------------------------------------
-
-Ledger run_concurrent_shape(u64 batch_threshold) {
-  Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});
-  Metrics metrics;
-  WorkflowServer server(cluster, metrics, Box{{0, 0}, {15, 15}});
-  auto mismatches = std::make_shared<std::atomic<u64>>(0);
-  server.register_app(
-      make_app(1, "sim", {16, 16}, {4, 4}),
-      make_pattern_producer({{"field"}, 2, /*sequential=*/true, 7}));
-  server.register_app(
-      make_app(2, "analysis", {16, 16}, {2, 2}),
-      make_pattern_consumer({{"field"}, 2, /*sequential=*/true, 7,
-                             mismatches, nullptr}),
-      /*consumes_var=*/"field");
-  DagSpec dag;
-  dag.add_app(1);
-  dag.add_app(2);
-  dag.add_dependency(1, 2);
-
-  WorkflowOptions options;
-  options.dart_batch_threshold = batch_threshold;
-  server.run(dag, options);
-
-  Ledger ledger;
-  ledger.capture(metrics);
-  ledger.mismatches = mismatches->load();
-  return ledger;
-}
-
-TEST(GoldenLedger, BatchingInvariantSequentialRedistribution) {
-  // 16 producer tasks -> 4 consumer tasks: every consumer pulls several
-  // stored tiles per storage node, so sub-threshold ops share (storage
-  // core, consumer core) routes and must coalesce.
-  const Ledger off = run_concurrent_shape(0);
-  const Ledger on = run_concurrent_shape(u64{1} << 20);
-  expect_payload_identical(on, off);
-  EXPECT_EQ(off.coalesced, 0u);
-  EXPECT_GT(on.coalesced, 0u);
-  // Batching touches only the cost-model flow list, never control traffic.
-  EXPECT_EQ(on.control, off.control);
-}
-
-Ledger run_bundle_shape(u64 batch_threshold) {
-  Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});
-  Metrics metrics;
-  WorkflowServer server(cluster, metrics, Box{{0, 0}, {15, 15}});
-  auto mismatches = std::make_shared<std::atomic<u64>>(0);
-  server.register_app(
-      make_app(1, "sim", {16, 16}, {4, 2}),
-      make_pattern_producer({{"field"}, 2, /*sequential=*/false, 9}));
-  server.register_app(
-      make_app(2, "viz", {16, 16}, {2, 2}),
-      make_pattern_consumer({{"field"}, 2, /*sequential=*/false, 9,
-                             mismatches, nullptr}));
-  DagSpec dag;
-  dag.add_app(1);
-  dag.add_app(2);
-  dag.add_bundle({1, 2});
-
-  WorkflowOptions options;
-  options.dart_batch_threshold = batch_threshold;
-  server.run(dag, options);
-
-  Ledger ledger;
-  ledger.capture(metrics);
-  ledger.mismatches = mismatches->load();
-  return ledger;
-}
-
-TEST(GoldenLedger, BatchingInvariantConcurrentBundle) {
-  const Ledger off = run_bundle_shape(0);
-  const Ledger on = run_bundle_shape(u64{1} << 20);
-  expect_payload_identical(on, off);
-  EXPECT_EQ(on.control, off.control);
 }
 
 // ---------------------------------------------------------------------------
@@ -165,8 +80,7 @@ AppFn make_double_reader(std::string var, i32 nversions, u64 seed,
   };
 }
 
-Ledger run_sequential_shape(bool optimisations, FaultInjector* injector) {
-  const bool lookup_cache = optimisations;
+Ledger run_sequential_shape(bool lookup_cache, FaultInjector* injector) {
   Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});
   Metrics metrics;
   WorkflowServer server(cluster, metrics, Box{{0, 0}, {15, 15}});
@@ -184,7 +98,6 @@ Ledger run_sequential_shape(bool optimisations, FaultInjector* injector) {
   dag.add_dependency(1, 2);
 
   WorkflowOptions options;
-  if (optimisations) options.dart_batch_threshold = u64{1} << 20;
   if (injector != nullptr) {
     options.fault = injector;
     options.retry.max_retries = 50;
@@ -216,7 +129,7 @@ TEST(GoldenLedger, FaultReplayInvariantUnderOptimisations) {
   // Transient-only spec (no crash schedules: those key on the global wave
   // op counter, which legitimately shifts when cached lookups skip RPCs).
   // Transfer/send decisions key on per-(site, actor) op counts, so the
-  // replay trace must be identical with the optimisations on and off.
+  // replay trace must be identical with the lookup cache on and off.
   FaultSpec spec;
   spec.seed = 17;
   spec.p_transfer = 0.05;

@@ -133,9 +133,9 @@ TEST_F(IrecvTest, RecvFromDeadNodeFailsFastButDrainsQueuedMessages) {
 }
 
 TEST(MailboxTimeout, PopThrowsAfterDeadline) {
-  Mailbox box;
+  MailboxPool box(1);
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(box.pop(0, 1, std::chrono::seconds(1)), Error);
+  EXPECT_THROW(box.pop(0, 0, 1, std::chrono::seconds(1)), Error);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_GE(elapsed, std::chrono::milliseconds(900));
   EXPECT_LT(elapsed, std::chrono::seconds(10));

@@ -53,8 +53,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                    metavar="FILE", help="check the static graph covers every "
                                         "runtime-observed edge "
                                         "(lock_order::dump_hierarchy output)")
-    p.add_argument("--no-clang", action="store_true",
-                   help="skip the optional libclang augmentation")
     p.add_argument("--verbose", action="store_true")
     return p.parse_args(argv)
 
@@ -89,8 +87,7 @@ def main(argv: list[str]) -> int:
               "`cmake -B build -S .`); falling back to a src/ glob",
               file=sys.stderr)
 
-    index = frontend.build_index(commands, root, verbose=args.verbose,
-                                 use_clang=not args.no_clang)
+    index = frontend.build_index(commands, root, verbose=args.verbose)
     check_objs = registry.make_checks(args.checks)
     raw: list[registry.Finding] = []
     lock_graph = None

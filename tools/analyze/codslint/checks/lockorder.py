@@ -17,9 +17,9 @@ lock_order::dump_hierarchy() prints at runtime.
 Approximations, on the conservative side for a wait-for graph:
   * MutexLock::unlock() early release is ignored — the guard is assumed
     held to the end of its block, which can only add edges;
-  * name-level aliasing (metrics.shard x16, runtime.mailbox per rank)
-    collapses instances, so self-edges A -> A are dropped: the runtime
-    detector tracks instances and owns that case;
+  * name-level aliasing (metrics.shard x16, one runtime.mailbox per
+    Runtime) collapses instances, so self-edges A -> A are dropped: the
+    runtime detector tracks instances and owns that case;
   * bare-name callee resolution falls back to the unique definition.
 
 Findings: every cycle in the static graph (one per cycle, naming the full

@@ -1,22 +1,14 @@
 """Index construction: compilation database -> CodeIndex.
 
-The bundled token/AST-index frontend (model.py) is the authoritative
-engine — it is what the self-test corpus exercises and what CI gates on.
-When the python libclang bindings happen to be importable AND a matching
-libclang shared object loads, clang_frontend augments the finished index
-with alias and field-type facts the token parser may have missed (e.g.
-types introduced through macros). The augmentation can only ADD
-resolution facts; checks never depend on it, so results degrade
-gracefully to the bundled engine on machines without clang — this
-container has no libclang, CI installs python3-clang for the augmented
-path.
+The bundled token/AST-index frontend (model.py) is the only engine: it
+is what the self-test corpus exercises and what CI gates on, so local
+runs and CI see the same index.
 """
 
 from __future__ import annotations
 
 import pathlib
 import sys
-from typing import Optional
 
 from . import compdb
 from .model import CodeIndex
@@ -24,8 +16,7 @@ from .model import CodeIndex
 
 def build_index(commands: list[compdb.CompileCommand],
                 root: pathlib.Path,
-                verbose: bool = False,
-                use_clang: bool = True) -> CodeIndex:
+                verbose: bool = False) -> CodeIndex:
     """Parse every TU plus its transitively reachable project headers.
 
     Headers are parsed once even when many TUs include them (the index is
@@ -50,8 +41,6 @@ def build_index(commands: list[compdb.CompileCommand],
                                          path.parent, root):
             if str(inc) not in seen:
                 queue.append((inc, cmd))
-    if use_clang:
-        _augment_with_clang(index, commands, verbose)
     index.finish()
     if verbose:
         print(f"codslint: indexed {len(index.files)} files, "
@@ -62,17 +51,3 @@ def build_index(commands: list[compdb.CompileCommand],
             print(f"codslint: note: {note}", file=sys.stderr)
     return index
 
-
-def _augment_with_clang(index: CodeIndex,
-                        commands: list[compdb.CompileCommand],
-                        verbose: bool) -> None:
-    """Best-effort: never raises, never removes facts."""
-    try:
-        from . import clang_frontend
-    except Exception:  # pragma: no cover - import is local, cannot fail
-        return
-    note: Optional[str] = clang_frontend.augment(index, commands)
-    if note:
-        index.notes.append(note)
-        if verbose:
-            print(f"codslint: {note}", file=sys.stderr)

@@ -44,10 +44,7 @@ def run(root: pathlib.Path, verbose: bool = False) -> int:
     if not commands:
         print(f"codslint: no bait files under {corpus}", file=sys.stderr)
         return 2
-    # The corpus is self-contained: no clang augmentation, so the self-test
-    # pins the bundled engine's behavior on every machine identically.
-    index = frontend.build_index(commands, root, verbose=verbose,
-                                 use_clang=False)
+    index = frontend.build_index(commands, root, verbose=verbose)
     raw: list[registry.Finding] = []
     fired: dict[str, int] = {}
     lock_graph = None
