@@ -21,7 +21,8 @@ namespace {
 double time_meta_app(i32 m_tasks, i32 n_tasks) {
   Cluster cluster(ClusterSpec{.num_nodes = 8, .cores_per_node = 4});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   const Decomposition src = blocked({64, 64}, {m_tasks / 4, 4});
   const Decomposition dst = blocked({64, 64}, {n_tasks / 2, 2});
   std::vector<CoreLoc> placement;

@@ -65,7 +65,8 @@ DispatchResult bench_dispatch(i32 n, int reps) {
   result.ranks = n;
   for (int rep = 0; rep < reps; ++rep) {
     Metrics metrics;
-    Runtime runtime(cluster, metrics);
+    HybridDart dart(cluster, metrics);
+    Runtime runtime(dart);
     runtime.set_exec_mode(ExecMode::kPooled);
     const double t0 = now_ms();
     const auto failures = runtime.run_collect(placement, body);

@@ -1,11 +1,18 @@
 #include "dart/dart.hpp"
 
-#include <cstring>
-
 #include "health/task_clock.hpp"
 #include "trace/trace.hpp"
 
 namespace cods {
+
+namespace {
+
+/// Backoff jitter key of a data-plane op: the issuing client and its size.
+u64 op_jitter_key(const Endpoint& local, u64 bytes) {
+  return (static_cast<u64>(static_cast<u32>(local.client_id)) << 32) ^ bytes;
+}
+
+}  // namespace
 
 void HybridDart::expose(i32 client_id, u64 key, std::span<std::byte> window) {
   WriterLock lock(mutex_);
@@ -56,85 +63,33 @@ double HybridDart::slowdown_factor(i32 node) const {
   return fault->slowdown(node);
 }
 
-double HybridDart::admit_op(FaultSite site, const Endpoint& local,
-                            const Endpoint& remote, i32 app_id,
-                            TrafficClass cls, u64 bytes) {
+double HybridDart::admit_op(FaultSite site, i32 actor, i32 local_node,
+                            i32 remote_node, i32 app_id, TrafficClass cls,
+                            const std::optional<Flow>& failed,
+                            u64 jitter_key) {
   FaultInjector* fault = fault_injector();
   if (fault == nullptr) return 0.0;
   double penalty = 0.0;
   for (i32 attempt = 1;; ++attempt) {
-    if (!fault->on_op(site, local.client_id, local.loc.node,
-                      remote.loc.node)) {
-      return penalty;
-    }
+    if (!fault->on_op(site, actor, local_node, remote_node)) return penalty;
     // The failed attempt moved its bytes before erroring out: account them
     // as regular traffic of the same class, plus the modelled time.
-    const double attempt_time =
-        model_.flow_time(Flow{remote.loc, local.loc, bytes});
-    record(app_id, cls, remote.loc, local.loc, bytes, attempt_time);
+    double attempt_time = 0.0;
+    if (failed) {
+      attempt_time = model_.flow_time(*failed);
+      record(app_id, cls, failed->src, failed->dst, failed->bytes,
+             attempt_time);
+    }
     if (attempt > retry_.max_retries) {
       metrics_->add_count(app_id, fault_exhausted_id_);
       throw RetriesExhaustedError(site, retry_.max_retries);
     }
     metrics_->add_count(app_id, fault_retries_id_);
     const double delay =
-        retry_.backoff(attempt, fault->spec().seed ^
-                                    (static_cast<u64>(static_cast<u32>(
-                                         local.client_id))
-                                     << 32) ^
-                                    bytes);
+        retry_.backoff(attempt, fault->spec().seed ^ jitter_key);
     metrics_->add_time(app_id, fault_backoff_id_, delay);
     penalty += attempt_time + delay;
   }
-}
-
-double HybridDart::get(const Endpoint& local, i32 app_id, TrafficClass cls,
-                       const Endpoint& remote, u64 key, u64 offset,
-                       std::span<std::byte> dst) {
-  ScopedSpan span(SpanCategory::kGet, dst.size(),
-                  pack_loc(remote.loc.node, remote.loc.core));
-  const double penalty =
-      admit_op(FaultSite::kGet, local, remote, app_id, cls, dst.size());
-  {
-    // Hold the registry lock across the copy: a window cannot be withdrawn
-    // (and its memory freed) while a one-sided read is in flight — the
-    // software analogue of pinned RDMA regions.
-    ReaderLock lock(mutex_);
-    const auto win = window_locked(remote.client_id, key);
-    CODS_REQUIRE(offset + dst.size() <= win.size(),
-                 "get exceeds remote window bounds");
-    std::memcpy(dst.data(), win.data() + offset, dst.size());
-  }
-  const double time =
-      model_.flow_time(Flow{remote.loc, local.loc, dst.size()}) *
-      slowdown_factor(local.loc.node);
-  record(app_id, cls, remote.loc, local.loc, dst.size(), time);
-  span.close(penalty + time);
-  TaskClock::advance(penalty + time);
-  return penalty + time;
-}
-
-double HybridDart::put(const Endpoint& local, i32 app_id, TrafficClass cls,
-                       const Endpoint& remote, u64 key, u64 offset,
-                       std::span<const std::byte> src) {
-  ScopedSpan span(SpanCategory::kPut, src.size(),
-                  pack_loc(remote.loc.node, remote.loc.core));
-  const double penalty =
-      admit_op(FaultSite::kPut, local, remote, app_id, cls, src.size());
-  {
-    ReaderLock lock(mutex_);
-    const auto win = window_locked(remote.client_id, key);
-    CODS_REQUIRE(offset + src.size() <= win.size(),
-                 "put exceeds remote window bounds");
-    std::memcpy(win.data() + offset, src.data(), src.size());
-  }
-  const double time =
-      model_.flow_time(Flow{local.loc, remote.loc, src.size()}) *
-      slowdown_factor(local.loc.node);
-  record(app_id, cls, local.loc, remote.loc, src.size(), time);
-  span.close(penalty + time);
-  TaskClock::advance(penalty + time);
-  return penalty + time;
 }
 
 double HybridDart::pull(std::span<PullOp> ops) {
@@ -145,15 +100,18 @@ double HybridDart::pull(std::span<PullOp> ops) {
   double penalty = 0.0;
   if (fault_injector() != nullptr) {
     for (const PullOp& op : ops) {
-      penalty +=
-          admit_op(FaultSite::kPull, op.local, op.remote, op.app_id, op.cls,
-                   op.bytes);
+      penalty += admit_op(FaultSite::kPull, op.local.client_id,
+                          op.local.loc.node, op.remote.loc.node, op.app_id,
+                          op.cls, Flow{op.remote.loc, op.local.loc, op.bytes},
+                          op_jitter_key(op.local, op.bytes));
     }
   }
   std::vector<Flow> flows;
   flows.reserve(ops.size());
   {
-    // Pin all source windows for the duration of the gather (see get()).
+    // Hold the registry lock across the gather: a window cannot be
+    // withdrawn (and its memory freed) while a one-sided read is in
+    // flight — the software analogue of pinned RDMA regions.
     ReaderLock lock(mutex_);
     for (PullOp& op : ops) {
       const auto win = window_locked(op.remote.client_id, op.key);
@@ -180,9 +138,10 @@ double HybridDart::rpc(const Endpoint& from, const Endpoint& to, u64 count) {
   ScopedSpan span(SpanCategory::kRpc, 0, pack_loc(to.loc.node, to.loc.core));
   const u64 bytes =
       count * static_cast<u64>(model_.params().rpc_bytes) * 2;  // round trips
-  const double penalty =
-      admit_op(FaultSite::kRpc, from, to, /*app_id=*/0, TrafficClass::kControl,
-               bytes);
+  const double penalty = admit_op(
+      FaultSite::kRpc, from.client_id, from.loc.node, to.loc.node,
+      /*app_id=*/0, TrafficClass::kControl, Flow{to.loc, from.loc, bytes},
+      op_jitter_key(from, bytes));
   // Control-plane RPC bytes feed the kControl counters only: they are
   // deliberately not journaled or ledger-traced, reconciliation covers
   // payload traffic (docs/TRACING.md).
@@ -194,6 +153,30 @@ double HybridDart::rpc(const Endpoint& from, const Endpoint& to, u64 count) {
   span.close(time, bytes);
   TaskClock::advance(time);
   return time;
+}
+
+void HybridDart::send(const Endpoint& src, const Endpoint& dst, i32 app_id,
+                      u64 bytes) {
+  // A self-send or an empty payload crosses no fabric: admitted, but
+  // nothing to account, for the failed attempts or the delivered one.
+  const bool moves = src.client_id != dst.client_id && bytes > 0;
+  std::optional<Flow> flow;
+  if (moves) flow = Flow{src.loc, dst.loc, bytes};
+  // The sender is the actor; the penalty is dropped because the send is
+  // buffered and never waits out its own retries.
+  (void)admit_op(FaultSite::kSend, src.client_id, src.loc.node, dst.loc.node,
+                 app_id, TrafficClass::kIntraApp, flow,
+                 (static_cast<u64>(static_cast<u32>(src.client_id)) << 32) ^
+                     static_cast<u64>(static_cast<u32>(dst.client_id)));
+  if (moves) {
+    // The flow time feeds only the journal and the ledger leaf, so the
+    // common unjournaled, untraced send skips the cost model (its hop
+    // count is most of a send's accounting cost).
+    const bool timed =
+        transfer_log() != nullptr || TraceContext::current() != nullptr;
+    record(app_id, TrafficClass::kIntraApp, src.loc, dst.loc, bytes,
+           timed ? model_.flow_time(*flow) : 0.0);
+  }
 }
 
 }  // namespace cods

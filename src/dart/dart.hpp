@@ -1,8 +1,10 @@
 // HybridDART (paper §III-A, §IV-A): the asynchronous data-transport layer
-// between execution clients. It exposes RDMA-style one-sided windows
-// (registered memory regions) and automatically selects the transport for
-// each transfer: intra-node shared memory when both endpoints live on the
-// same compute node, network (RDMA-modelled) otherwise.
+// between execution clients, and the one transport every payload crosses:
+// receiver-driven pulls from RDMA-style one-sided windows (registered
+// memory regions), control RPCs, and the vmpi runtime's point-to-point
+// sends. It automatically selects the transport for each transfer:
+// intra-node shared memory when both endpoints live on the same compute
+// node, network (RDMA-modelled) otherwise.
 //
 // Data movement is real (bytes are copied between buffers so end-to-end
 // content can be verified); transfer *times* come from the platform cost
@@ -12,6 +14,7 @@
 
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -83,7 +86,6 @@ class HybridDart {
   FaultInjector* fault_injector() const {
     return fault_.load(std::memory_order_acquire);
   }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   /// Transport used between two cores: shared memory iff same node.
   TransportKind select_transport(const CoreLoc& a, const CoreLoc& b) const {
@@ -103,17 +105,6 @@ class HybridDart {
 
   bool has_window(i32 client_id, u64 key) const;
 
-  /// One-sided contiguous read: remote window [offset, offset+dst.size())
-  /// into dst. Returns the modelled transfer time.
-  double get(const Endpoint& local, i32 app_id, TrafficClass cls,
-             const Endpoint& remote, u64 key, u64 offset,
-             std::span<std::byte> dst);
-
-  /// One-sided contiguous write: src into remote window at offset.
-  double put(const Endpoint& local, i32 app_id, TrafficClass cls,
-             const Endpoint& remote, u64 key, u64 offset,
-             std::span<const std::byte> src);
-
   /// Executes a batch of concurrent pulls (all requests issued together)
   /// and returns the modelled completion time of the batch.
   double pull(std::span<PullOp> ops);
@@ -122,12 +113,21 @@ class HybridDart {
   /// returns their modelled time.
   double rpc(const Endpoint& from, const Endpoint& to, u64 count = 1);
 
+  /// Carries one point-to-point vmpi payload of `bytes` from `src` to
+  /// `dst` (client ids are global ranks): fault admission at
+  /// FaultSite::kSend, then intra-app accounting through record(). A
+  /// self-send or an empty payload is admitted but moves nothing, so it
+  /// is not accounted. Sends are buffered: dropped attempts are
+  /// accounted but add no modelled time to the sender's TaskClock.
+  void send(const Endpoint& src, const Endpoint& dst, i32 app_id, u64 bytes);
+
   /// Byte-accounting funnel: metrics, the optional TransferLog journal
   /// and (when a TraceContext is installed) a ledger trace leaf. Every
   /// payload movement must pass through here so the three accountings
-  /// can never drift apart. `overlay` marks per-op members of a
-  /// concurrent batch: their leaves share the batch interval instead of
-  /// advancing the virtual clock.
+  /// can never drift apart. `model_time` is read only by the journal and
+  /// the trace leaf. `overlay` marks per-op members of a concurrent
+  /// batch: their leaves share the batch interval instead of advancing
+  /// the virtual clock.
   void record(i32 app_id, TrafficClass cls, const CoreLoc& src,
               const CoreLoc& dst, u64 bytes, double model_time,
               bool overlay = false);
@@ -153,12 +153,15 @@ class HybridDart {
   /// schedules a Slowdown for the current wave.
   double slowdown_factor(i32 node) const;
 
-  /// Consults the injector until one attempt is admitted; accounts every
-  /// failed attempt (its traffic and its backoff delay) and returns the
-  /// accumulated modelled penalty. Throws when retries are exhausted or a
-  /// node involved is dead. No-op (0.0) when no injector is attached.
-  double admit_op(FaultSite site, const Endpoint& local, const Endpoint& remote,
-                  i32 app_id, TrafficClass cls, u64 bytes);
+  /// Consults the injector on behalf of `actor` until one attempt is
+  /// admitted; accounts every failed attempt (the `failed` flow, when
+  /// given, and the backoff delay, jittered by seed ^ `jitter_key`) and
+  /// returns the accumulated modelled penalty. Throws when retries are
+  /// exhausted or a node involved is dead. No-op (0.0) when no injector
+  /// is attached.
+  double admit_op(FaultSite site, i32 actor, i32 local_node, i32 remote_node,
+                  i32 app_id, TrafficClass cls,
+                  const std::optional<Flow>& failed, u64 jitter_key);
 
   const Cluster* cluster_;
   Metrics* metrics_;

@@ -8,9 +8,9 @@
 //                   a pure function of {seed, wave, site, actor, op-count},
 //                   so an identical spec always yields an identical failure
 //                   trace regardless of thread interleaving.
-//   FaultInjector — the runtime oracle consulted by HybridDART and the vmpi
-//                   mailbox layer before every transfer/RPC/send. Records a
-//                   deterministic trace for replay testing.
+//   FaultInjector — the runtime oracle HybridDART consults before every
+//                   pull/RPC/vmpi send, and vmpi receives consult for dead
+//                   peers. Records a deterministic trace for replay testing.
 //   RetryPolicy   — bounded retries with exponential backoff and
 //                   deterministic jitter; backoff delays are modelled time,
 //                   accounted in Metrics like any other cost.
@@ -34,11 +34,14 @@ namespace cods {
 
 /// Where in the stack an operation is intercepted.
 enum class FaultSite : i32 {
-  kGet = 0,        ///< HybridDart::get (one-sided read)
-  kPut = 1,        ///< HybridDart::put (one-sided write)
+  // kGet/kPut name one-sided single reads/writes. No transport op issues
+  // them (pull() is the one data-plane op); they keep the site values
+  // and crash-event records (site kGet) of every trace stable.
+  kGet = 0,
+  kPut = 1,
   kPull = 2,       ///< one op of a HybridDart::pull batch
   kRpc = 3,        ///< control round-trip (DHT query/registration)
-  kSend = 4,       ///< vmpi point-to-point send
+  kSend = 4,       ///< vmpi point-to-point send (HybridDart::send)
   kHeartbeat = 5,  ///< health-layer heartbeat delivery (src/health)
 };
 
@@ -71,7 +74,7 @@ struct Slowdown {
 /// Declarative fault schedule. All probabilities are per-attempt.
 struct FaultSpec {
   u64 seed = 1;
-  double p_transfer = 0.0;  ///< get/put/pull transient failure probability
+  double p_transfer = 0.0;  ///< pull transient failure probability
   double p_rpc = 0.0;       ///< control RPC transient failure probability
   double p_send = 0.0;      ///< vmpi send transient failure probability
   std::vector<NodeCrash> crashes;

@@ -1,13 +1,14 @@
 // Per-task modelled-time accumulator (health layer). Each executing rank
 // carries a thread-local clock that the transport layers advance by every
 // operation's modelled time; the engine reads the totals after a wave to
-// find stragglers (tasks whose modelled time exceeds the wave's deadline)
-// and the runtime installs the deadline so subroutines can poll it.
+// find stragglers (tasks whose modelled time exceeds the wave's deadline).
 //
 // Header-only on purpose: HybridDart and the vmpi runtime advance the
 // clock but must not link against cods_health (which links against them);
 // an inline thread_local keeps the dependency arrow one-way.
 #pragma once
+
+#include <utility>
 
 #include "common/types.hpp"
 
@@ -23,61 +24,38 @@ class TaskClock {
   struct Snapshot {
     bool active = false;
     double elapsed = 0.0;
-    double deadline = 0.0;
   };
 
   /// Replaces the thread's clock state with `next` and returns the
   /// previous state (restore it when the fiber switches back out).
   static Snapshot exchange(const Snapshot& next) {
-    State& s = state();
-    const Snapshot previous{s.active, s.elapsed, s.deadline};
-    s.active = next.active;
-    s.elapsed = next.elapsed;
-    s.deadline = next.deadline;
-    return previous;
+    return std::exchange(state(), next);
   }
 
-  /// Installs a fresh clock on this thread with an optional deadline in
-  /// modelled seconds (0 = none). The runtime calls this per rank body.
-  static void install(double deadline = 0.0) {
-    State& s = state();
+  /// Installs a fresh clock on this thread. The runtime calls this per
+  /// rank body.
+  static void install() {
+    Snapshot& s = state();
     s.active = true;
     s.elapsed = 0.0;
-    s.deadline = deadline;
   }
 
   /// Detaches the clock; subsequent advance() calls become no-ops.
   static void uninstall() { state().active = false; }
 
-  static bool installed() { return state().active; }
-
   /// Adds `seconds` of modelled time to the current task (no-op when no
   /// clock is installed — e.g. server-side sweeps outside any task).
   static void advance(double seconds) {
-    State& s = state();
+    Snapshot& s = state();
     if (s.active) s.elapsed += seconds;
   }
 
   /// Modelled seconds this task has accumulated so far.
   static double elapsed() { return state().elapsed; }
 
-  /// The installed deadline (0 = none).
-  static double deadline() { return state().deadline; }
-
-  /// True once the task has spent more modelled time than its deadline.
-  static bool over_deadline() {
-    const State& s = state();
-    return s.active && s.deadline > 0.0 && s.elapsed > s.deadline;
-  }
-
  private:
-  struct State {
-    bool active = false;
-    double elapsed = 0.0;
-    double deadline = 0.0;
-  };
-  static State& state() {
-    static thread_local State s;
+  static Snapshot& state() {
+    static thread_local Snapshot s;
     return s;
   }
 };

@@ -1,10 +1,5 @@
 #include "platform/transfer_log.hpp"
 
-#include <map>
-#include <sstream>
-
-#include "common/types.hpp"
-
 namespace cods {
 
 void TransferLog::record(const TransferRecord& record) {
@@ -29,74 +24,6 @@ u64 TransferLog::dropped() const {
 std::vector<TransferRecord> TransferLog::snapshot() const {
   MutexLock lock(mutex_);
   return records_;
-}
-
-void TransferLog::clear() {
-  MutexLock lock(mutex_);
-  records_.clear();
-  dropped_ = 0;
-}
-
-namespace {
-
-const char* cls_name(TrafficClass cls) {
-  switch (cls) {
-    case TrafficClass::kInterApp: return "inter-app";
-    case TrafficClass::kIntraApp: return "intra-app";
-    case TrafficClass::kControl: return "control";
-  }
-  return "?";
-}
-
-}  // namespace
-
-std::string TransferLog::summary() const {
-  MutexLock lock(mutex_);
-  struct Agg {
-    u64 count = 0;
-    u64 bytes = 0;
-  };
-  std::map<std::tuple<i32, TrafficClass, bool>, Agg> groups;
-  for (const TransferRecord& r : records_) {
-    Agg& agg = groups[{r.app_id, r.cls, r.via_network}];
-    ++agg.count;
-    agg.bytes += r.bytes;
-  }
-  std::ostringstream os;
-  for (const auto& [key, agg] : groups) {
-    const auto& [app, cls, net] = key;
-    os << "app " << app << " " << cls_name(cls) << " "
-       << (net ? "net" : "shm") << ": " << agg.count << " transfers, "
-       << format_bytes(agg.bytes) << "\n";
-  }
-  if (dropped_ > 0) os << "(dropped " << dropped_ << " records)\n";
-  return os.str();
-}
-
-std::string TransferLog::to_chrome_trace() const {
-  MutexLock lock(mutex_);
-  // Serialize transfers on a per-destination-node timeline; timestamps are
-  // synthetic (each node's transfers are laid end to end) but durations
-  // come from the cost model, which is what one inspects in the viewer.
-  std::map<i32, double> node_clock;
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const TransferRecord& r : records_) {
-    const double us = r.model_time * 1e6;
-    double& clock = node_clock[r.dst.node];
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << (r.via_network ? "net" : "shm") << " "
-       << format_bytes(r.bytes) << "\",\"cat\":\"" << cls_name(r.cls)
-       << "\",\"ph\":\"X\",\"ts\":" << clock << ",\"dur\":" << us
-       << ",\"pid\":" << r.dst.node << ",\"tid\":" << r.dst.core
-       << ",\"args\":{\"app\":" << r.app_id << ",\"src_node\":" << r.src.node
-       << ",\"bytes\":" << r.bytes << "}}";
-    clock += us;
-  }
-  os << "]}";
-  return os.str();
 }
 
 }  // namespace cods

@@ -1,11 +1,11 @@
 // Optional detailed transfer log: records individual data movements
 // (endpoints, bytes, transport, traffic class, modelled duration) for
-// debugging and offline analysis, with a chrome://tracing JSON export.
-// Attach one to HybridDart when per-transfer visibility is needed; the
-// aggregate Metrics registry stays the always-on accounting path.
+// reconciliation against the trace ledger and the Metrics registry (the
+// wfgen oracles). Attach one to HybridDart when per-transfer visibility is
+// needed; the aggregate Metrics registry stays the always-on accounting
+// path, and Chrome export lives with the trace (src/trace/export.hpp).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/sync.hpp"
@@ -34,14 +34,6 @@ class TransferLog {
   size_t size() const;
   u64 dropped() const;  ///< records discarded after the log filled up
   std::vector<TransferRecord> snapshot() const;
-  void clear();
-
-  /// Summary rows: per (app, class, transport) count and bytes.
-  std::string summary() const;
-
-  /// Chrome trace-event JSON ("catapult" format): one complete event per
-  /// transfer, on a per-node timeline, durations from the cost model.
-  std::string to_chrome_trace() const;
 
  private:
   mutable Mutex mutex_{"platform.transfer_log"};

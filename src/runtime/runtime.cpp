@@ -63,34 +63,10 @@ void Comm::send(i32 dst, i32 tag, std::span<const std::byte> payload) const {
   CODS_REQUIRE(valid(), "invalid communicator");
   const i32 dst_global = global_rank(dst);
   const i32 src_global = global_rank(my_index_);
-  // Account the movement against the placement of the two ranks.
-  const CoreLoc a = runtime_->loc(src_global);
-  const CoreLoc b = runtime_->loc(dst_global);
-  if (FaultInjector* fault = runtime_->fault()) {
-    const RetryPolicy& retry = runtime_->retry_policy();
-    for (i32 attempt = 1;; ++attempt) {
-      if (!fault->on_op(FaultSite::kSend, src_global, a.node, b.node)) break;
-      // The dropped attempt still moved the payload across the fabric.
-      if (dst_global != src_global && !payload.empty()) {
-        runtime_->note_transfer(app_id_, a, b, payload.size());
-      }
-      if (attempt > retry.max_retries) {
-        runtime_->metrics().add_count(app_id_, runtime_->fault_exhausted_id());
-        throw RetriesExhaustedError(FaultSite::kSend, retry.max_retries);
-      }
-      runtime_->metrics().add_count(app_id_, runtime_->fault_retries_id());
-      runtime_->metrics().add_time(
-          app_id_, runtime_->fault_backoff_id(),
-          retry.backoff(attempt,
-                        fault->spec().seed ^
-                            (static_cast<u64>(static_cast<u32>(src_global))
-                             << 32) ^
-                            static_cast<u64>(static_cast<u32>(dst_global))));
-    }
-  }
-  if (dst_global != src_global && !payload.empty()) {
-    runtime_->note_transfer(app_id_, a, b, payload.size());
-  }
+  // The payload crosses the transport between the two ranks' placements.
+  runtime_->dart().send(Endpoint{src_global, runtime_->loc(src_global)},
+                        Endpoint{dst_global, runtime_->loc(dst_global)},
+                        app_id_, payload.size());
   runtime_->mail().push(dst_global, src_global, comm_tag(tag), payload);
 }
 
@@ -107,7 +83,7 @@ Message Comm::recv_impl(i32 src, i32 tag) const {
   CODS_REQUIRE(valid(), "invalid communicator");
   const i32 src_global = src == kAnySource ? kAnySource : global_rank(src);
   const i32 my_global = global_rank(my_index_);
-  if (FaultInjector* fault = runtime_->fault()) {
+  if (FaultInjector* fault = runtime_->dart().fault_injector()) {
     const i32 my_node = runtime_->loc(my_global).node;
     if (fault->is_dead(my_node)) {
       throw NodeDownError(my_node, "node " + std::to_string(my_node) +
@@ -366,8 +342,8 @@ std::vector<RankFailure> Runtime::run_collect(
   const i32 n = static_cast<i32>(placement.size());
   CODS_REQUIRE(n >= 1, "need at least one rank");
   for (const CoreLoc& loc : placement) {
-    CODS_REQUIRE(loc.node >= 0 && loc.node < cluster_->num_nodes() &&
-                     loc.core >= 0 && loc.core < cluster_->cores_per_node(),
+    CODS_REQUIRE(loc.node >= 0 && loc.node < cluster().num_nodes() &&
+                     loc.core >= 0 && loc.core < cluster().cores_per_node(),
                  "placement outside the cluster");
   }
   placement_ = placement;
@@ -402,7 +378,7 @@ std::vector<RankFailure> Runtime::run_collect(
     ctx.world.members_ = members;
     // Each rank carries a modelled-time clock: the transport layers
     // advance it per operation, and the totals feed straggler detection.
-    TaskClock::install(task_deadline_);
+    TaskClock::install();
     try {
       body(ctx);
     } catch (...) {
@@ -434,29 +410,6 @@ std::vector<RankFailure> Runtime::run_collect(
               return a.global_rank < b.global_rank;
             });
   return failures;
-}
-
-void Runtime::note_transfer(i32 app_id, const CoreLoc& src, const CoreLoc& dst,
-                            u64 bytes) {
-  const bool net = src.node != dst.node;
-  // The audited mailbox-path funnel: the metrics counter, the transfer
-  // journal and the ledger trace leaf account the same bytes from this one
-  // site, so the three views cannot drift (codslint `funnel` check).
-  metrics().record(app_id, TrafficClass::kIntraApp, bytes, net);
-  TransferLog* log = transfer_log();
-  TraceContext* trace = TraceContext::current();
-  if (log == nullptr && trace == nullptr) return;
-  const double time = model_.flow_time(Flow{src, dst, bytes});
-  if (log != nullptr) {
-    log->record(TransferRecord{src, dst, bytes, net, TrafficClass::kIntraApp,
-                               app_id, time});
-  }
-  if (trace != nullptr) {
-    trace->leaf(net ? SpanCategory::kTransferNet : SpanCategory::kTransferShm,
-                time, bytes, TrafficClass::kIntraApp, app_id,
-                /*sequential=*/true, TraceFlags::kLedger,
-                pack_loc(src.node, src.core));
-  }
 }
 
 CoreLoc Runtime::loc(i32 global_rank) const {

@@ -6,9 +6,10 @@
 //
 // Ranks run on a work-stealing pool or as simulated fibers; point-to-point
 // messages go through one mailbox plane (runtime/mailbox.hpp); every send
-// is byte-accounted against the platform model using the sender/receiver
-// core placement. This substitutes for MPI per DESIGN.md §1 while keeping
-// real data movement and real concurrency.
+// crosses HybridDART (HybridDart::send: fault admission, then byte
+// accounting against the sender/receiver core placement). This substitutes
+// for MPI per DESIGN.md §1 while keeping real data movement and real
+// concurrency.
 #pragma once
 
 #include <atomic>
@@ -17,10 +18,7 @@
 #include <memory>
 #include <span>
 
-#include "fault/fault.hpp"
-#include "platform/cost_model.hpp"
-#include "platform/metrics.hpp"
-#include "platform/transfer_log.hpp"
+#include "dart/dart.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/sim.hpp"
@@ -163,58 +161,16 @@ struct RankFailure {
   std::exception_ptr error;
 };
 
-/// The runtime: dispatches ranks and owns their mailbox plane.
+/// The runtime: dispatches ranks and owns their mailbox plane. Payloads
+/// cross `dart`, the run's one transport: its fault injector governs sends
+/// and dead-peer receives, and its funnel accounts every send.
 class Runtime {
  public:
-  Runtime(const Cluster& cluster, Metrics& metrics, CostParams params = {})
-      : cluster_(&cluster),
-        metrics_(&metrics),
-        model_(cluster, params),
-        fault_retries_id_(metrics.intern("fault.retries")),
-        fault_exhausted_id_(metrics.intern("fault.exhausted")),
-        fault_backoff_id_(metrics.intern("fault.backoff")) {}
+  explicit Runtime(HybridDart& dart) : dart_(&dart) {}
 
-  const Cluster& cluster() const { return *cluster_; }
-  Metrics& metrics() { return *metrics_; }
-
-  /// Pre-interned fault counter ids (hot send path skips string hashing).
-  Metrics::CounterId fault_retries_id() const { return fault_retries_id_; }
-  Metrics::CounterId fault_exhausted_id() const { return fault_exhausted_id_; }
-  Metrics::CounterId fault_backoff_id() const { return fault_backoff_id_; }
-  const CostModel& cost_model() const { return model_; }
-
-  /// Attaches a fault injector (nullptr = fault-free): point-to-point sends
-  /// consult it (transient drops are retried per `retry`, dead peers throw
-  /// NodeDownError), and blocking receives are bounded by retry.op_timeout.
-  /// The injector pointer and timeout are atomic; `retry` must be
-  /// configured before ranks run (it is read without synchronization).
-  void set_fault(FaultInjector* injector, RetryPolicy retry = {}) {
-    retry_ = retry;
-    fault_.store(injector, std::memory_order_release);
-    if (injector != nullptr) set_recv_timeout(retry.op_timeout);
-  }
-  FaultInjector* fault() const {
-    return fault_.load(std::memory_order_acquire);
-  }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
-  /// Optional per-send journal (nullptr disables), sharing the format of
-  /// HybridDart's log so one journal can cover a whole workflow run.
-  /// Atomic like the dart-side pointer; attach before or between waves.
-  void set_transfer_log(TransferLog* log) {
-    transfer_log_.store(log, std::memory_order_release);
-  }
-  TransferLog* transfer_log() const {
-    return transfer_log_.load(std::memory_order_acquire);
-  }
-
-  /// Accounts one point-to-point payload movement against the journal
-  /// and the installed TraceContext (no-op when both are absent; the
-  /// Metrics registry is recorded separately by the caller). The flow
-  /// time is modelled lazily so the untraced send path stays free of
-  /// cost-model work.
-  void note_transfer(i32 app_id, const CoreLoc& src, const CoreLoc& dst,
-                     u64 bytes);
+  HybridDart& dart() { return *dart_; }
+  const Cluster& cluster() const { return dart_->cluster(); }
+  Metrics& metrics() { return dart_->metrics(); }
 
   /// Bound on blocking receives: a dead or wedged peer surfaces as a
   /// cods::Error after this long instead of hanging the rank forever.
@@ -259,11 +215,6 @@ class Runtime {
   /// run()/run_collect(); zeroed by kPooled.
   const SimStats& last_sim_stats() const { return last_sim_stats_; }
 
-  /// Per-task deadline in modelled seconds installed into every rank's
-  /// TaskClock (src/health/task_clock.hpp); 0 = none. Set between waves.
-  void set_task_deadline(double deadline) { task_deadline_ = deadline; }
-  double task_deadline() const { return task_deadline_; }
-
   /// Modelled seconds each rank of the most recent run()/run_collect()
   /// accumulated on its TaskClock, indexed by global rank — the health
   /// layer's straggler-detection input.
@@ -288,15 +239,7 @@ class Runtime {
   std::shared_ptr<const std::vector<i32>> comm_group(i64 comm_id);
 
  private:
-  const Cluster* cluster_;
-  Metrics* metrics_;
-  CostModel model_;
-  Metrics::CounterId fault_retries_id_;
-  Metrics::CounterId fault_exhausted_id_;
-  Metrics::CounterId fault_backoff_id_;
-  std::atomic<FaultInjector*> fault_{nullptr};
-  std::atomic<TransferLog*> transfer_log_{nullptr};
-  RetryPolicy retry_;  ///< set before ranks run (see set_fault)
+  HybridDart* dart_;
   std::atomic<std::chrono::seconds> recv_timeout_{std::chrono::seconds(120)};
   // Rebuilt single-threadedly in run_collect() before ranks spawn and only
   // read while they execute (the spawn is the synchronization point).
@@ -310,7 +253,6 @@ class Runtime {
   i32 exec_pool_size_ = 0;  ///< <= 0: default_pool_size()
   ExecutorStats last_exec_stats_;
   SimStats last_sim_stats_;
-  double task_deadline_ = 0.0;  ///< set between waves (see set_task_deadline)
   // Written per-rank into disjoint slots while ranks run; read after join.
   std::vector<double> last_task_times_;
 };

@@ -36,8 +36,8 @@ namespace cods {
 enum class SpanCategory : u8 {
   kWave,          ///< one scheduling wave (server track)
   kTask,          ///< one task's subroutine execution (rank track)
-  kGet,           ///< a get operator (client get_seq/get_cont, dart get)
-  kPut,           ///< a put operator (client put_seq/put_cont, dart put)
+  kGet,           ///< a get operator (client get_seq/get_cont)
+  kPut,           ///< a put operator (client put_seq/put_cont)
   kPull,          ///< a receiver-driven pull batch over HybridDart
   kRpc,           ///< small control round trips (DHT registration/query)
   kCollective,    ///< a runtime collective (barrier/bcast/gather/...)

@@ -167,11 +167,12 @@ std::vector<RankFailure> WorkflowServer::enact(
     const std::vector<TaskId>& tasks, const std::vector<CoreLoc>& cores,
     const WorkflowOptions& options, const WaveTrack* wave,
     std::vector<double>& task_times) {
-  Runtime runtime(*cluster_, *metrics_);
+  // Sends cross the run's transport, which run() wired to the injector
+  // and the journal; only the receive bound is per enactment.
+  Runtime runtime(space_.dart());
   if (options.fault != nullptr) {
-    runtime.set_fault(options.fault, options.retry);
+    runtime.set_recv_timeout(options.retry.op_timeout);
   }
-  runtime.set_transfer_log(options.transfer_log);
   // Speculative copies run under the caller's exec mode too: kSimulate
   // must never fall back to a live thread (its cross-mode guarantees
   // cover speculation).
@@ -344,11 +345,12 @@ void WorkflowServer::run(const DagSpec& dag, WorkflowOptions options) {
   placements_.clear();
   sim_stats_ = SimStats{};
   space_.set_reexecution(false);
-  if (options.transfer_log != nullptr) {
-    // Only attach when the caller provided a journal: tests that hook a
-    // log directly onto the transport must keep it across run().
-    space_.dart().set_transfer_log(options.transfer_log);
-  }
+  // The injector and the journal belong to this run: attach both (null
+  // detaches) so a later run never inherits an earlier run's injector or
+  // a dangling journal pointer. Every payload, sends included, crosses
+  // this one transport.
+  space_.dart().set_transfer_log(options.transfer_log);
+  space_.dart().set_fault(options.fault, options.retry);
   // The server's own trace track (key 0) holds the wave spans; task spans
   // recorded by execution clients parent under them.
   std::optional<TraceContext> server_ctx;
@@ -358,9 +360,8 @@ void WorkflowServer::run(const DagSpec& dag, WorkflowOptions options) {
                        /*core=*/-1);
   }
   if (options.fault != nullptr) {
-    // Space-side fault integration: transfers consult the injector, and
-    // blocking waits are bounded so a dead producer surfaces as an Error.
-    space_.dart().set_fault(options.fault, options.retry);
+    // Blocking space waits are bounded so a dead producer surfaces as an
+    // Error.
     space_.set_op_timeout(options.retry.op_timeout);
   }
   space_.set_watermarks(options.health.soft_watermark,

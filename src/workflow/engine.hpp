@@ -44,9 +44,10 @@ struct WorkflowOptions {
   /// layer (dart, runtime, cods client, lock service, redistribution)
   /// records into the recorder. Near-zero cost when null.
   TraceRecorder* trace = nullptr;
-  /// Optional per-transfer journal covering the whole run: attached to
-  /// the transport and to every wave's runtime so dart transfers and
-  /// point-to-point sends land in one reconcilable log.
+  /// Optional per-transfer journal covering the whole run, attached to
+  /// the run's transport for its duration: dart pulls and point-to-point
+  /// sends both cross HybridDart::record, so they land in one
+  /// reconcilable log.
   TransferLog* transfer_log = nullptr;
   /// Rank dispatch for every wave (docs/PERF.md "Enactment scaling").
   /// kPooled runs ranks on a bounded work-stealing pool; kSimulate enacts

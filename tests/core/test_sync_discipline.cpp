@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -66,6 +67,16 @@ TEST(SyncDiscipline, OpTimeoutAdjustedWhileClientsWait) {
   space.wait_version("flow", 0, seconds(5));
 }
 
+/// One-op pull of the first `buf.size()` bytes of the remote window `key`.
+void pull_one(HybridDart& dart, const Endpoint& local, const Endpoint& remote,
+              u64 key, std::span<std::byte> buf) {
+  PullOp op{local, remote, key, buf.size(), /*app_id=*/1,
+            TrafficClass::kInterApp, [buf](std::span<const std::byte> w) {
+              std::memcpy(buf.data(), w.data(), buf.size());
+            }};
+  dart.pull(std::span(&op, 1));
+}
+
 TEST(SyncDiscipline, TransferLogAttachedWhileTransfersRun) {
   Cluster cluster{ClusterSpec{.num_nodes = 2, .cores_per_node = 2}};
   Metrics metrics;
@@ -89,14 +100,9 @@ TEST(SyncDiscipline, TransferLogAttachedWhileTransfersRun) {
 
   std::vector<std::thread> movers;
   for (int t = 0; t < 3; ++t) {
-    // Disjoint window offsets per mover: concurrent one-sided puts to the
-    // *same* bytes are an application-level race, just like real RDMA.
-    movers.emplace_back([&, offset = u64(t) * 64] {
+    movers.emplace_back([&] {
       std::vector<std::byte> buf(64);
-      for (int i = 0; i < 500; ++i) {
-        dart.put(local, 1, TrafficClass::kInterApp, remote, 7, offset, buf);
-        dart.get(local, 1, TrafficClass::kInterApp, remote, 7, offset, buf);
-      }
+      for (int i = 0; i < 1000; ++i) pull_one(dart, local, remote, 7, buf);
     });
   }
   for (auto& m : movers) m.join();
@@ -131,9 +137,7 @@ TEST(SyncDiscipline, FaultInjectorAttachedWhileTransfersRun) {
   for (int t = 0; t < 3; ++t) {
     movers.emplace_back([&] {
       std::vector<std::byte> buf(64);
-      for (int i = 0; i < 500; ++i) {
-        dart.get(local, 1, TrafficClass::kInterApp, remote, 9, 0, buf);
-      }
+      for (int i = 0; i < 500; ++i) pull_one(dart, local, remote, 9, buf);
     });
   }
   for (auto& m : movers) m.join();
@@ -144,7 +148,8 @@ TEST(SyncDiscipline, FaultInjectorAttachedWhileTransfersRun) {
 TEST(SyncDiscipline, RecvTimeoutAdjustedWhileRanksRun) {
   Cluster cluster{ClusterSpec{.num_nodes = 2, .cores_per_node = 2}};
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
 
   std::vector<CoreLoc> placement;
   for (i32 n = 0; n < 2; ++n) {

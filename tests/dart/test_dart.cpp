@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "dart/dart.hpp"
+#include "health/task_clock.hpp"
 
 namespace cods {
 namespace {
@@ -52,40 +53,24 @@ TEST_F(DartTest, DoubleExposeThrows) {
   EXPECT_NO_THROW(dart_.expose(1, 1, buf));
 }
 
-TEST_F(DartTest, GetCopiesRemoteData) {
+TEST_F(DartTest, OneOpPullCopiesRemoteData) {
   auto remote_buf = bytes({10, 20, 30, 40, 50});
   dart_.expose(1, 5, remote_buf);
-  const Endpoint local{0, {1, 0}};
-  const Endpoint remote{1, {0, 0}};
   std::vector<std::byte> dst(3);
-  const double t =
-      dart_.get(local, 2, TrafficClass::kInterApp, remote, 5, 1, dst);
+  PullOp op;
+  op.local = {0, {1, 0}};
+  op.remote = {1, {0, 0}};
+  op.key = 5;
+  op.bytes = dst.size();
+  op.app_id = 2;
+  op.copy = [&dst](std::span<const std::byte> w) {
+    std::memcpy(dst.data(), w.data() + 1, dst.size());
+  };
+  const double t = dart_.pull(std::span(&op, 1));
   EXPECT_GT(t, 0.0);
   EXPECT_EQ(dst, bytes({20, 30, 40}));
   // Cross-node => network bytes.
   EXPECT_EQ(metrics_.counters(2, TrafficClass::kInterApp).net_bytes, 3u);
-}
-
-TEST_F(DartTest, PutWritesRemoteData) {
-  auto remote_buf = bytes({0, 0, 0, 0});
-  dart_.expose(1, 9, remote_buf);
-  const Endpoint local{0, {0, 0}};
-  const Endpoint remote{1, {0, 1}};  // same node -> shm
-  auto src = bytes({7, 8});
-  dart_.put(local, 3, TrafficClass::kIntraApp, remote, 9, 2, src);
-  EXPECT_EQ(remote_buf, bytes({0, 0, 7, 8}));
-  EXPECT_EQ(metrics_.counters(3, TrafficClass::kIntraApp).shm_bytes, 2u);
-  EXPECT_EQ(metrics_.counters(3, TrafficClass::kIntraApp).net_bytes, 0u);
-}
-
-TEST_F(DartTest, OutOfBoundsAccessRejected) {
-  auto buf = bytes({1, 2, 3});
-  dart_.expose(1, 1, buf);
-  std::vector<std::byte> dst(3);
-  const Endpoint a{0, {0, 0}};
-  const Endpoint b{1, {1, 0}};
-  EXPECT_THROW(dart_.get(a, 0, TrafficClass::kInterApp, b, 1, 1, dst), Error);
-  EXPECT_THROW(dart_.put(a, 0, TrafficClass::kInterApp, b, 1, 2, dst), Error);
 }
 
 TEST_F(DartTest, PullBatchExecutesAllCopies) {
@@ -145,6 +130,29 @@ TEST_F(DartTest, RpcRecordsControlTraffic) {
   const double t = dart_.rpc(a, b, 3);
   EXPECT_GT(t, 0.0);
   EXPECT_GT(metrics_.counters(0, TrafficClass::kControl).net_bytes, 0u);
+}
+
+TEST_F(DartTest, SendAccountsIntraAppFromSenderToReceiver) {
+  TransferLog log;
+  dart_.set_transfer_log(&log);
+  const Endpoint sender{0, {0, 0}};
+  const Endpoint receiver{5, {1, 2}};
+  TaskClock::install();
+  dart_.send(sender, receiver, 3, 64);
+  dart_.send(sender, sender, 3, 64);    // self-send: nothing crosses
+  dart_.send(sender, receiver, 3, 0);   // empty payload: nothing moves
+  // Sends are buffered: the sender's modelled clock does not advance.
+  EXPECT_EQ(TaskClock::elapsed(), 0.0);
+  TaskClock::uninstall();
+  EXPECT_EQ(metrics_.counters(3, TrafficClass::kIntraApp),
+            (ByteCounters{0, 64, 1}));
+  const auto records = log.snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].src, sender.loc);
+  EXPECT_EQ(records[0].dst, receiver.loc);
+  EXPECT_EQ(records[0].cls, TrafficClass::kIntraApp);
+  EXPECT_EQ(records[0].model_time,
+            dart_.cost_model().flow_time(Flow{sender.loc, receiver.loc, 64}));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "dart/dart.hpp"
@@ -149,6 +150,18 @@ TEST(RetryPolicy, BackoffGrowsAndJitterIsDeterministic) {
   EXPECT_NE(policy.backoff(1, 1), policy.backoff(1, 2));
 }
 
+/// A one-op pull of the whole remote window `key` into `dst`, accounted
+/// as `dst.size()` bytes of app 1's `cls` traffic.
+double pull_one(HybridDart& dart, const Endpoint& local,
+                const Endpoint& remote, u64 key, std::span<std::byte> dst,
+                TrafficClass cls = TrafficClass::kInterApp) {
+  PullOp op{local, remote, key, dst.size(), /*app_id=*/1, cls,
+            [dst](std::span<const std::byte> w) {
+              std::memcpy(dst.data(), w.data(), dst.size());
+            }};
+  return dart.pull(std::span(&op, 1));
+}
+
 class DartFaultTest : public ::testing::Test {
  protected:
   Cluster cluster_{ClusterSpec{.num_nodes = 2, .cores_per_node = 2}};
@@ -158,7 +171,7 @@ class DartFaultTest : public ::testing::Test {
   Endpoint remote_{1, {1, 0}};
 };
 
-TEST_F(DartFaultTest, TransientGetRetriedAndAccounted) {
+TEST_F(DartFaultTest, TransientPullRetriedAndAccounted) {
   std::vector<std::byte> window(64);
   dart_.expose(remote_.client_id, /*key=*/9, window);
   std::vector<std::byte> dst(64);
@@ -174,8 +187,7 @@ TEST_F(DartFaultTest, TransientGetRetriedAndAccounted) {
   double clean_time = -1.0;
   u64 retries = 0;
   for (i32 op = 0; op < 50; ++op) {
-    const double t =
-        dart_.get(local_, 1, TrafficClass::kInterApp, remote_, 9, 0, dst);
+    const double t = pull_one(dart_, local_, remote_, 9, dst);
     if (metrics_.count(1, "fault.retries") == retries) {
       clean_time = t;  // no retry: the base cost of this op
     }
@@ -204,9 +216,7 @@ TEST_F(DartFaultTest, ExhaustedRetriesThrow) {
   RetryPolicy retry;
   retry.max_retries = 2;
   dart_.set_fault(&injector, retry);
-  EXPECT_THROW(
-      dart_.get(local_, 1, TrafficClass::kInterApp, remote_, 3, 0, dst),
-      Error);
+  EXPECT_THROW(pull_one(dart_, local_, remote_, 3, dst), Error);
   EXPECT_EQ(metrics_.count(1, "fault.exhausted"), 1u);
   EXPECT_EQ(metrics_.count(1, "fault.retries"), 2u);
 }
@@ -223,13 +233,13 @@ TEST_F(DartFaultTest, ExhaustionThrowsTypedError) {
   retry.max_retries = 2;
   dart_.set_fault(&injector, retry);
   try {
-    dart_.get(local_, 1, TrafficClass::kInterApp, remote_, 3, 0, dst);
+    pull_one(dart_, local_, remote_, 3, dst);
     FAIL() << "expected RetriesExhaustedError";
   } catch (const RetriesExhaustedError& e) {
-    EXPECT_EQ(e.site(), FaultSite::kGet);
+    EXPECT_EQ(e.site(), FaultSite::kPull);
     EXPECT_EQ(e.retries(), 2);
     EXPECT_STREQ(e.what(),
-                 "transient get failure persisted after 2 retries");
+                 "transient pull failure persisted after 2 retries");
   }
   // Every site reports itself: exhaust an rpc too.
   try {
@@ -238,6 +248,34 @@ TEST_F(DartFaultTest, ExhaustionThrowsTypedError) {
   } catch (const RetriesExhaustedError& e) {
     EXPECT_EQ(e.site(), FaultSite::kRpc);
   }
+}
+
+TEST_F(DartFaultTest, SendRetriesChargeTheSenderAndExhaustTyped) {
+  FaultInjector injector(transient_spec(1.0));  // every attempt fails
+  injector.begin_wave(0);
+  RetryPolicy retry;
+  retry.max_retries = 2;
+  dart_.set_fault(&injector, retry);
+  const Endpoint sender{6, local_.loc};
+  const Endpoint receiver{9, remote_.loc};
+  try {
+    dart_.send(sender, receiver, 1, 64);
+    FAIL() << "expected RetriesExhaustedError";
+  } catch (const RetriesExhaustedError& e) {
+    EXPECT_EQ(e.site(), FaultSite::kSend);
+  }
+  // Every dropped attempt crossed the fabric, sender to receiver, as
+  // intra-app traffic of the sender's app; the sender is the fault actor.
+  EXPECT_EQ(metrics_.counters(1, TrafficClass::kIntraApp).net_bytes, 3u * 64u);
+  EXPECT_EQ(metrics_.count(1, "fault.retries"), 2u);
+  EXPECT_EQ(metrics_.count(1, "fault.exhausted"), 1u);
+  EXPECT_EQ(injector.trace_string(),
+            "wave 0 transient send actor 6 op 1\n"
+            "wave 0 transient send actor 6 op 2\n"
+            "wave 0 transient send actor 6 op 3\n");
+  // A self-send is admitted (and may fail) but moves no bytes.
+  EXPECT_THROW(dart_.send(sender, sender, 1, 64), RetriesExhaustedError);
+  EXPECT_EQ(metrics_.counters(1, TrafficClass::kIntraApp).total(), 3u * 64u);
 }
 
 TEST(RetryPolicy, BackoffIsPureFunctionOfAttemptAndKey) {
@@ -265,9 +303,7 @@ TEST_F(DartFaultTest, DeadRemoteThrowsNodeDown) {
   injector.begin_wave(0);
   injector.declare_dead(1);
   dart_.set_fault(&injector, RetryPolicy{});
-  EXPECT_THROW(
-      dart_.get(local_, 1, TrafficClass::kInterApp, remote_, 3, 0, dst),
-      NodeDownError);
+  EXPECT_THROW(pull_one(dart_, local_, remote_, 3, dst), NodeDownError);
 }
 
 TEST_F(DartFaultTest, NoInjectorIsByteIdenticalToInactiveInjector) {
@@ -285,8 +321,8 @@ TEST_F(DartFaultTest, NoInjectorIsByteIdenticalToInactiveInjector) {
     const Endpoint local{0, {0, 0}};
     const Endpoint remote{1, {1, 0}};
     std::vector<std::byte> buf(128);
-    dart.get(local, 1, TrafficClass::kInterApp, remote, 4, 0, buf);
-    dart.put(local, 1, TrafficClass::kIntraApp, remote, 4, 0, buf);
+    pull_one(dart, local, remote, 4, buf);
+    pull_one(dart, local, remote, 4, buf, TrafficClass::kIntraApp);
     dart.rpc(local, remote, 3);
   };
   Metrics off;

@@ -51,7 +51,8 @@ TEST(ScaleSmoke, SixtyFourRankConcurrentWorkflow) {
 TEST(ScaleSmoke, SixtyFourRankRingAndCollectives) {
   Cluster cluster(ClusterSpec{.num_nodes = 8, .cores_per_node = 8});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   std::vector<CoreLoc> placement;
   for (i32 r = 0; r < 64; ++r) placement.push_back(cluster.core_loc(r));
   runtime.run(placement, [&](RankCtx& ctx) {

@@ -60,7 +60,8 @@ TEST(SimulateScale, RuntimeEnactsRingsOfSixtyFourKRanks) {
   const i32 n = kScaleRanks;
   Cluster cluster(ClusterSpec{.num_nodes = n / 64, .cores_per_node = 64});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   runtime.set_exec_mode(ExecMode::kSimulate);
   std::vector<CoreLoc> placement;
   placement.reserve(static_cast<size_t>(n));

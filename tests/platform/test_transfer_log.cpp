@@ -39,42 +39,6 @@ TEST(TransferLog, CapacityBoundsAndDropCount) {
   EXPECT_EQ(log.dropped(), 2u);
 }
 
-TEST(TransferLog, ClearResets) {
-  TransferLog log(1);
-  log.record(make_record(0, 1, 1, true));
-  log.record(make_record(0, 1, 1, true));
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
-}
-
-TEST(TransferLog, SummaryGroupsByAppClassTransport) {
-  TransferLog log;
-  log.record(make_record(0, 1, 100, true, 1));
-  log.record(make_record(0, 1, 200, true, 1));
-  log.record(make_record(0, 0, 10, false, 2));
-  const std::string summary = log.summary();
-  EXPECT_NE(summary.find("app 1 inter-app net: 2 transfers, 300 B"),
-            std::string::npos);
-  EXPECT_NE(summary.find("app 2 inter-app shm: 1 transfers, 10 B"),
-            std::string::npos);
-}
-
-TEST(TransferLog, ChromeTraceIsWellFormedJson) {
-  TransferLog log;
-  log.record(make_record(0, 1, 4096, true));
-  log.record(make_record(2, 1, 8192, true));
-  const std::string json = log.to_chrome_trace();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"bytes\":4096"), std::string::npos);
-  // Two events on node 1's timeline: the second starts after the first.
-  const size_t first_ts = json.find("\"ts\":0");
-  EXPECT_NE(first_ts, std::string::npos);
-}
-
 TEST(TransferLog, ThreadSafeRecording) {
   TransferLog log;
   std::vector<std::thread> threads;
@@ -96,9 +60,9 @@ TEST(TransferLog, AttachedToDartCapturesTransfers) {
 
   std::vector<std::byte> window(64);
   dart.expose(1, 7, window);
-  std::vector<std::byte> dst(32);
-  dart.get(Endpoint{0, {0, 0}}, 3, TrafficClass::kInterApp,
-           Endpoint{1, {1, 0}}, 7, 0, dst);
+  PullOp op{Endpoint{0, {0, 0}}, Endpoint{1, {1, 0}}, 7, /*bytes=*/32,
+            /*app_id=*/3, TrafficClass::kInterApp, nullptr};
+  dart.pull(std::span(&op, 1));
   ASSERT_EQ(log.size(), 1u);
   const auto records = log.snapshot();
   EXPECT_EQ(records[0].bytes, 32u);
@@ -108,8 +72,7 @@ TEST(TransferLog, AttachedToDartCapturesTransfers) {
 
   // Detach: no further records.
   dart.set_transfer_log(nullptr);
-  dart.get(Endpoint{0, {0, 0}}, 3, TrafficClass::kInterApp,
-           Endpoint{1, {1, 0}}, 7, 0, dst);
+  dart.pull(std::span(&op, 1));
   EXPECT_EQ(log.size(), 1u);
 }
 

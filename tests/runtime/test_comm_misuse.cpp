@@ -16,7 +16,8 @@ class CommMisuseTest : public ::testing::Test {
 
   Cluster cluster_{ClusterSpec{.num_nodes = 2, .cores_per_node = 4}};
   Metrics metrics_;
-  Runtime runtime_{cluster_, metrics_};
+  HybridDart dart_{cluster_, metrics_};
+  Runtime runtime_{dart_};
 };
 
 TEST_F(CommMisuseTest, DefaultCommIsInvalid) {

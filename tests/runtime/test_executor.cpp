@@ -107,7 +107,8 @@ TEST(PooledRuntime, StressGroupPipelineKeepsThreadCountBounded) {
   Cluster cluster(ClusterSpec{.num_nodes = (n + 63) / 64,
                               .cores_per_node = 64});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   runtime.set_exec_mode(ExecMode::kPooled);
   runtime.set_exec_pool_size(8);
   std::atomic<i64> checksum{0};
@@ -143,7 +144,8 @@ TEST(PooledRuntime, CollectivesAndLockServiceWaitsComplete) {
   const i32 n = 96;
   Cluster cluster(ClusterSpec{.num_nodes = 2, .cores_per_node = 48});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   runtime.set_exec_mode(ExecMode::kPooled);
   runtime.set_exec_pool_size(4);
   LockService locks;
@@ -182,7 +184,8 @@ TEST(PooledRuntime, CollectivesAndLockServiceWaitsComplete) {
 std::vector<RankFailure> run_failing_ranks(ExecMode mode) {
   Cluster cluster(ClusterSpec{.num_nodes = 2, .cores_per_node = 32});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   runtime.set_exec_mode(mode);
   runtime.set_exec_pool_size(4);
   return runtime.run_collect(grid_placement(cluster, 64), [&](RankCtx& ctx) {
@@ -221,7 +224,8 @@ TEST(PooledRuntime, StatsDescribeTheLastDispatch) {
   // per rank), and a pooled run zeroes the preceding simulate SimStats.
   Cluster cluster(ClusterSpec{.num_nodes = 1, .cores_per_node = 16});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   runtime.set_exec_pool_size(4);
   const auto placement = grid_placement(cluster, 16);
   const auto noop = [](RankCtx&) {};

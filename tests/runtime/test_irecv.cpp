@@ -21,7 +21,8 @@ class IrecvTest : public ::testing::Test {
 
   Cluster cluster_{ClusterSpec{.num_nodes = 4, .cores_per_node = 4}};
   Metrics metrics_;
-  Runtime runtime_{cluster_, metrics_};
+  HybridDart dart_{cluster_, metrics_};
+  Runtime runtime_{dart_};
 };
 
 TEST_F(IrecvTest, TestPollsUntilMessageArrives) {
@@ -97,7 +98,8 @@ TEST_F(IrecvTest, RecvFromDeadNodeFailsFastButDrainsQueuedMessages) {
   injector.begin_wave(0);
   RetryPolicy retry;
   retry.op_timeout = std::chrono::seconds(30);  // fail-fast must not wait
-  runtime_.set_fault(&injector, retry);
+  dart_.set_fault(&injector, retry);
+  runtime_.set_recv_timeout(retry.op_timeout);
   const auto start = std::chrono::steady_clock::now();
   std::atomic<int> node_down_errors{0};
   std::atomic<int> delivered{0};

@@ -15,7 +15,8 @@ class MetaRedistributeTest : public ::testing::Test {
  protected:
   Cluster cluster_{ClusterSpec{.num_nodes = 4, .cores_per_node = 4}};
   Metrics metrics_;
-  Runtime runtime_{cluster_, metrics_};
+  HybridDart dart_{cluster_, metrics_};
+  Runtime runtime_{dart_};
 
   std::vector<CoreLoc> block_placement(i32 n) {
     std::vector<CoreLoc> placement;

@@ -20,7 +20,8 @@ class RuntimeTest : public ::testing::Test {
 
   Cluster cluster_{ClusterSpec{.num_nodes = 4, .cores_per_node = 4}};
   Metrics metrics_;
-  Runtime runtime_{cluster_, metrics_};
+  HybridDart dart_{cluster_, metrics_};
+  Runtime runtime_{dart_};
 };
 
 TEST_F(RuntimeTest, RanksSeeWorldCommAndPlacement) {
@@ -172,6 +173,49 @@ TEST_F(RuntimeTest, SendAccountsShmVsNetworkBytes) {
   const auto c = metrics_.counters(3, TrafficClass::kIntraApp);
   EXPECT_EQ(c.shm_bytes, 100u);
   EXPECT_EQ(c.net_bytes, 100u);
+}
+
+TEST_F(RuntimeTest, SendsCrossTheRuntimesTransport) {
+  // The dart a Runtime is built on journals its sends and applies its
+  // injector to them; nothing is wired on the Runtime itself.
+  TransferLog log;
+  dart_.set_transfer_log(&log);
+  runtime_.run(block_placement(8), [&](RankCtx& ctx) {
+    ctx.world.set_app_id(3);
+    if (ctx.world.rank() == 0) {
+      ctx.world.send_value<i64>(7, 1, 42);
+      ctx.world.send_value<i64>(0, 2, 42);  // self-send: not a transfer
+      ctx.world.send(1, 3, {});             // empty: not a transfer
+      (void)ctx.world.recv(0, 2);
+    } else if (ctx.world.rank() == 1) {
+      (void)ctx.world.recv(0, 3);
+    } else if (ctx.world.rank() == 7) {
+      EXPECT_EQ(ctx.world.recv_value<i64>(0, 1), 42);
+    }
+  });
+  const auto records = log.snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].src, (CoreLoc{0, 0}));
+  EXPECT_EQ(records[0].dst, (CoreLoc{1, 3}));
+  EXPECT_EQ(records[0].bytes, sizeof(i64));
+  EXPECT_EQ(records[0].cls, TrafficClass::kIntraApp);
+  EXPECT_EQ(records[0].app_id, 3);
+
+  FaultSpec spec;
+  spec.p_send = 1.0;
+  FaultInjector injector(spec);
+  injector.begin_wave(0);
+  RetryPolicy retry;
+  retry.max_retries = 0;
+  dart_.set_fault(&injector, retry);
+  EXPECT_THROW(runtime_.run(block_placement(2),
+                            [](RankCtx& ctx) {
+                              if (ctx.world.rank() == 0) {
+                                ctx.world.send_value<i64>(1, 1, 42);
+                              }
+                            }),
+               RetriesExhaustedError);
+  EXPECT_EQ(metrics_.count(0, "fault.exhausted"), 1u);
 }
 
 TEST_F(RuntimeTest, RankExceptionPropagates) {

@@ -234,7 +234,8 @@ RingRun run_ring(ExecMode mode) {
   const i32 n = 64;
   Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 16});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   runtime.set_exec_mode(mode);
   runtime.set_exec_pool_size(8);
   std::atomic<i64> checksum{0};
@@ -278,7 +279,8 @@ TEST(SimulateRuntime, SingleRankHonorsSimulateMode) {
   // forced a live thread: a single rank must still run as a fiber.
   Cluster cluster(ClusterSpec{.num_nodes = 1, .cores_per_node = 4});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   runtime.set_exec_mode(ExecMode::kSimulate);
   bool ran = false;
   const auto failures =
@@ -295,7 +297,8 @@ TEST(SimulateRuntime, FailureOrderingMatchesPooled) {
   const auto run_failing = [](ExecMode mode) {
     Cluster cluster(ClusterSpec{.num_nodes = 2, .cores_per_node = 32});
     Metrics metrics;
-    Runtime runtime(cluster, metrics);
+    HybridDart dart(cluster, metrics);
+    Runtime runtime(dart);
     runtime.set_exec_mode(mode);
     runtime.set_exec_pool_size(4);
     return runtime.run_collect(
@@ -333,7 +336,8 @@ TEST(SimulateRuntime, RecvFromSilentPeerTimesOutVirtually) {
   // two wall-clock seconds a live mode would sleep.
   Cluster cluster(ClusterSpec{.num_nodes = 1, .cores_per_node = 4});
   Metrics metrics;
-  Runtime runtime(cluster, metrics);
+  HybridDart dart(cluster, metrics);
+  Runtime runtime(dart);
   runtime.set_exec_mode(ExecMode::kSimulate);
   runtime.set_recv_timeout(std::chrono::seconds(2));
   const auto wall_start = std::chrono::steady_clock::now();

@@ -37,13 +37,7 @@ struct HybridDart {
   }
 };
 
-// The mailbox-path funnel mimic: also exempt by qualname suffix.
-struct Runtime {
-  TransferLog log_;
-  void note_transfer(long bytes) { log_.record(bytes); }
-};
-
-// A rogue subsystem growing a fourth accounting path: every sink call
+// A rogue subsystem growing a second accounting path: every sink call
 // here must fire.
 struct RogueChannel {
   Metrics metrics_;

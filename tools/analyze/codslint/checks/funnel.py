@@ -1,14 +1,13 @@
-"""funnel — every byte of traffic flows through an audited funnel.
+"""funnel — every byte of traffic flows through the audited funnel.
 
-The PR 4 invariant: metrics byte counters, the TransferLog journal and
-ledger-flagged trace leaves are three accountings of the same traffic, and
-they can only stay exactly equal because one choke point writes all three.
-This check machine-enforces it: a call to `Metrics::record`,
-`TransferLog::record`, or a `TraceContext::leaf` carrying
-`TraceFlags::kLedger` may only appear inside an audited funnel function —
-`HybridDart::record` (transport traffic) or `Runtime::note_transfer`
-(rank-to-rank mailbox traffic) — so a new subsystem cannot grow a fourth,
-drift-prone accounting path.
+Metrics byte counters, the TransferLog journal and ledger-flagged trace
+leaves are three accountings of the same traffic, and they can only stay
+exactly equal because one choke point writes all three. This check
+machine-enforces it: a call to `Metrics::record`, `TransferLog::record`,
+or a `TraceContext::leaf` carrying `TraceFlags::kLedger` may only appear
+inside `HybridDart::record` — the funnel of the one transport that every
+payload crosses, dart pulls and vmpi sends alike — so a new subsystem
+cannot grow a second, drift-prone accounting path.
 
 Receivers are resolved through field types and method return types
 (`runtime_->metrics().record(...)` resolves to cods::Metrics), so renaming
@@ -28,12 +27,9 @@ SINK_METHODS = {
 }
 
 # Functions allowed to call the sinks (qualname suffix match): the audited
-# funnels. HybridDart::record covers all transport traffic;
-# Runtime::note_transfer is the mailbox-path funnel (vmpi sends never touch
-# HybridDart, so they have their own single choke point).
+# funnel. Every payload, vmpi sends included, crosses HybridDart.
 FUNNEL_FUNCTIONS = (
     "HybridDart::record",
-    "Runtime::note_transfer",
 )
 
 LEDGER_FLAG = "kLedger"
@@ -48,7 +44,7 @@ class FunnelCheck(Check):
     name = "funnel"
     description = ("byte-accounting sinks (Metrics::record, "
                    "TransferLog::record, kLedger trace leaves) only inside "
-                   "the audited funnels")
+                   "the audited funnel")
 
     def run(self, index: CodeIndex) -> list[Finding]:
         findings: list[Finding] = []
@@ -74,9 +70,9 @@ class FunnelCheck(Check):
                 return Finding(
                     self.name, call.file, call.line,
                     f"direct {bare}::record() outside the byte-accounting "
-                    "funnel; route through HybridDart::record() or "
-                    "Runtime::note_transfer() so metrics, journal and "
-                    "ledger trace cannot drift (docs/TRACING.md)",
+                    "funnel; route through HybridDart::record() so "
+                    "metrics, journal and ledger trace cannot drift "
+                    "(docs/TRACING.md)",
                     f"{fn.qualname}")
             return None
         if call.name == "leaf":
@@ -90,7 +86,7 @@ class FunnelCheck(Check):
                     self.name, call.file, call.line,
                     "ledger-flagged trace leaf emitted outside the "
                     "byte-accounting funnel; ledger leaves must come from "
-                    "HybridDart::record() / Runtime::note_transfer() or "
-                    "trace-vs-journal reconciliation breaks",
+                    "HybridDart::record() or trace-vs-journal "
+                    "reconciliation breaks",
                     f"{fn.qualname}")
         return None
