@@ -19,10 +19,11 @@
 // discrete-event fibers on one thread, up to 1,310,720 ranks (a
 // 1,048,576-rank producer wave at side=1024). Per-task payloads are
 // small (the point is rank-count scaling, not bandwidth). Each point
-// records wall time, scheduler events/sec (fiber context switches over
-// wall time), and process peak RSS; the JSON pins the bytes-per-rank
-// budget the CI scale smoke enforces. --smoke caps the ladder for the
-// CI Release job.
+// records wall time, fiber context switches, switches per wall second
+// (over the whole server.run, mapping and store work included, so not
+// an event-loop rate), and process peak RSS; the JSON pins the
+// bytes-per-rank budget the CI scale smoke enforces. --smoke caps the
+// ladder for the CI Release job.
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -41,8 +42,8 @@ struct SimulatePoint {
   i32 consumer_tasks = 0;
   i32 ranks = 0;
   double wall_seconds = 0.0;
-  u64 sim_events = 0;       ///< fiber context switches the run scheduled
-  double events_per_sec = 0.0;
+  u64 switches = 0;         ///< fiber context switches the run scheduled
+  double switches_per_wall_s = 0.0;
   u64 peak_rss_bytes = 0;   ///< process high-water mark after this point
                             ///< (monotone across the sweep: the kernel
                             ///< counter never decreases within a process)
@@ -55,10 +56,11 @@ struct SimulatePoint {
 
 /// Peak-RSS regression budget the CI scale smoke reads back from the
 /// committed JSON: the smoke's process peak RSS divided by its rank
-/// count must stay under this. The sweep's asymptote is ~4,970 B/rank
+/// count must stay under this. The sweep's asymptote is ~4,210 B/rank
 /// (side=1024, 1,310,720 ranks); the smoke's producer-only 262,144-rank
-/// wave amortizes fixed process costs worse and measures ~6,156 B/rank.
-/// Chosen ~2x the smoke's measured bytes/rank for slack.
+/// wave amortizes fixed process costs worse and measures ~5,230 B/rank.
+/// Chosen as ~2x the smoke's bytes/rank when it was set (~6,160 B/rank,
+/// before fibers stopped carrying a ucontext_t), for slack.
 constexpr u64 kRssBudgetBytesPerRank = 12288;
 
 /// Cluster spec for the simulate rungs: near-cubic torus with just
@@ -118,8 +120,8 @@ SimulatePoint run_simulate_point(i32 side) {
                            .count();
 
   const SimStats& sim = server.last_sim_stats();
-  point.sim_events = sim.switches;
-  point.events_per_sec =
+  point.switches = sim.switches;
+  point.switches_per_wall_s =
       point.wall_seconds > 0.0
           ? static_cast<double>(sim.switches) / point.wall_seconds
           : 0.0;
@@ -139,7 +141,7 @@ int run_simulate_sweep(bool smoke, const std::string& out_path) {
               "under ExecMode::kSimulate\n");
   rule(100);
   std::printf("%-6s %-9s %-9s %-9s %9s %11s %10s %9s %6s\n", "side",
-              "producers", "consumers", "ranks", "wall s", "events/s",
+              "producers", "consumers", "ranks", "wall s", "switches/s",
               "peak RSS", "B/rank", "bad");
   rule(100);
   std::vector<SimulatePoint> points;
@@ -149,7 +151,7 @@ int run_simulate_sweep(bool smoke, const std::string& out_path) {
     points.push_back(p);
     std::printf("%-6d %-9d %-9d %-9d %9.2f %11.0f %8.0fMB %9.0f %6llu\n",
                 p.side, p.producer_tasks, p.consumer_tasks, p.ranks,
-                p.wall_seconds, p.events_per_sec,
+                p.wall_seconds, p.switches_per_wall_s,
                 static_cast<double>(p.peak_rss_bytes) / (1024.0 * 1024.0),
                 static_cast<double>(p.peak_rss_bytes) / p.ranks,
                 static_cast<unsigned long long>(p.mismatches));
@@ -179,13 +181,13 @@ int run_simulate_sweep(bool smoke, const std::string& out_path) {
     std::fprintf(
         out,
         "    {\"side\": %d, \"producer_tasks\": %d, \"consumer_tasks\": %d,"
-        " \"ranks\": %d, \"wall_seconds\": %.3f, \"sim_events\": %llu,"
-        " \"events_per_sec\": %.0f, \"peak_rss_bytes\": %llu,"
+        " \"ranks\": %d, \"wall_seconds\": %.3f, \"switches\": %llu,"
+        " \"switches_per_wall_s\": %.0f, \"peak_rss_bytes\": %llu,"
         " \"arena_bytes\": %llu, \"inter_shm_bytes\": %llu,"
         " \"inter_net_bytes\": %llu, \"stored_bytes\": %llu,"
         " \"mismatches\": %llu}%s\n",
         p.side, p.producer_tasks, p.consumer_tasks, p.ranks, p.wall_seconds,
-        static_cast<unsigned long long>(p.sim_events), p.events_per_sec,
+        static_cast<unsigned long long>(p.switches), p.switches_per_wall_s,
         static_cast<unsigned long long>(p.peak_rss_bytes),
         static_cast<unsigned long long>(p.arena_bytes),
         static_cast<unsigned long long>(p.inter_shm),

@@ -1,6 +1,7 @@
 // Hot-path microbenchmarks (docs/PERF.md): sharded vs single-mutex
 // metrics recording under concurrent ranks, interned vs string counter
-// ids, and the client DHT lookup cache on repeated retrievals.
+// ids, the client DHT lookup cache on repeated retrievals, and the
+// simulate-mode fiber switch.
 //
 //   build/bench/micro_hotpath --benchmark_counters_tabular=true
 //
@@ -14,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "common/sync.hpp"
 #include "core/cods.hpp"
+#include "runtime/sim.hpp"
 
 namespace {
 
@@ -139,6 +142,41 @@ void BM_RepeatedGetSeq(benchmark::State& state) {
 }
 BENCHMARK(BM_RepeatedGetSeq)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
+
+// --------------------------------------------------------------------------
+// Simulate-mode context switch: two SimEngine fibers ping-pong through a
+// CondVar, so every pass parks one fiber and resumes the other. The
+// per_switch counter (printed as e.g. "55ns") divides wall time by
+// SimStats::switches, so it includes the scheduler's dispatch and the
+// CondVar hook, not only the register swap.
+// --------------------------------------------------------------------------
+
+void BM_SimFiberPingPong(benchmark::State& state) {
+  constexpr i32 kPasses = 10000;
+  u64 switches = 0;
+  for (auto _ : state) {
+    Mutex mu{"bench.sim_ping_pong"};
+    CondVar cv;
+    i32 turn = 0;
+    i32 running = 2;
+    SimEngine sim;
+    sim.run(2, [&](i32 me) {
+      MutexLock lock(mu);
+      for (i32 i = 0; i < kPasses; ++i) {
+        turn = 1 - me;
+        cv.notify_one();
+        while (turn != me && running == 2) cv.wait(lock);
+      }
+      --running;
+      cv.notify_one();
+    });
+    switches += sim.stats().switches;
+  }
+  state.counters["per_switch"] = benchmark::Counter(
+      static_cast<double>(switches),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimFiberPingPong)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,7 +1,5 @@
 #include "runtime/sim.hpp"
 
-#include <ucontext.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -44,10 +42,61 @@
 #endif
 #endif
 #if defined(CODS_SIM_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(CODS_SIM_TSAN)
 #include <sanitizer/tsan_interface.h>
+#endif
+
+// Context switch (docs/SIMULATION.md "Context switch"). On x86-64 ELF a
+// fiber switch saves only what the SysV ABI makes callee-saved — rbx,
+// rbp, r12-r15, the MXCSR and the x87 control word — swaps rsp and
+// returns on the other stack: no syscall, no signal mask. Other ISAs
+// keep glibc ucontext.
+#if defined(__x86_64__) && defined(__ELF__)
+#define CODS_SIM_ASM_SWITCH 1
+#else
+#include <ucontext.h>
+#endif
+
+#if defined(CODS_SIM_ASM_SWITCH)
+/// Pushes the callee-saved state on the current stack, stores rsp to
+/// *save_sp, loads load_sp and pops the state saved there. The frame at
+/// a saved sp is, upward: x87 control word (8-byte slot), MXCSR (8-byte
+/// slot), r15, r14, r13, r12, rbx, rbp, return address.
+extern "C" void cods_fiber_switch(void** save_sp, void* load_sp);
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl cods_fiber_switch
+  .hidden cods_fiber_switch
+  .type cods_fiber_switch, @function
+cods_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr 8(%rsp)
+  fldcw (%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size cods_fiber_switch, .-cods_fiber_switch
+  .popsection
+)");
 #endif
 
 namespace cods {
@@ -55,9 +104,10 @@ namespace {
 
 struct Impl;
 
-/// Entry point of every fiber (reached through makecontext, which takes
-/// a plain `void (*)()`; the engine and fiber identity travel through
-/// the scheduler's thread-locals instead of makecontext varargs).
+/// Entry point of every fiber. It takes no arguments (makecontext takes
+/// a plain `void (*)()`, and the assembly switch "returns" into it from
+/// a prepared frame); the engine and fiber identity travel through the
+/// scheduler's thread-locals instead.
 void fiber_trampoline();
 
 thread_local Impl* t_impl = nullptr;
@@ -65,19 +115,23 @@ thread_local Impl* t_impl = nullptr;
 /// One switchable execution context: the scheduler (the thread's native
 /// stack) or a rank fiber.
 struct ContextRec {
+#if defined(CODS_SIM_ASM_SWITCH)
+  void* sp = nullptr;  // saved stack pointer while switched out
+#else
   ucontext_t ctx{};
+#endif
   void* fake_stack = nullptr;          // ASan fake-frame save slot
   const void* stack_bottom = nullptr;  // lowest stack address
   std::size_t stack_size = 0;
   void* tsan = nullptr;  // TSan logical-thread handle
 };
 
-/// The expensive part of a fiber — ucontext (≈1 KiB), arena stack slot,
-/// parked thread-local state. Allocated only while a fiber is live
-/// (started, not yet done) and recycled through a free pool, so at 10^6
-/// ranks the engine holds peak-co-residency LiveFibers, not one per
-/// rank. Pointer-stable (pool of unique_ptr): ucontext_t must not move
-/// while a fiber can be switched to.
+/// The per-fiber state that only a started fiber needs — saved context,
+/// arena stack slot, parked thread-local state. Allocated only while a
+/// fiber is live (started, not yet done) and recycled through a free
+/// pool, so at 10^6 ranks the engine holds peak-co-residency LiveFibers,
+/// not one per rank. Pointer-stable (pool of unique_ptr): a suspended
+/// fiber's switch stored its stack pointer into the record by address.
 struct LiveFiber {
   ContextRec rec;
   std::byte* stack = nullptr;  ///< arena slot (StackArena::acquire)
@@ -353,18 +407,48 @@ struct Impl : blocking::SimHook {
     live->clock = TaskClock::Snapshot{};
     live->trace = nullptr;
     live->rec.fake_stack = nullptr;
-    CODS_CHECK(getcontext(&live->rec.ctx) == 0, "simulate: getcontext failed");
-    live->rec.ctx.uc_stack.ss_sp = live->stack;
-    live->rec.ctx.uc_stack.ss_size = arena_.stack_bytes();
-    live->rec.ctx.uc_link = &sched_.ctx;
     live->rec.stack_bottom = live->stack;
     live->rec.stack_size = arena_.stack_bytes();
 #if defined(CODS_SIM_TSAN)
     live->rec.tsan = __tsan_create_fiber(0);
 #endif
+#if defined(CODS_SIM_ASM_SWITCH)
+    live->rec.sp = first_frame(live->stack + arena_.stack_bytes());
+#else
+    CODS_CHECK(getcontext(&live->rec.ctx) == 0, "simulate: getcontext failed");
+    live->rec.ctx.uc_stack.ss_sp = live->stack;
+    live->rec.ctx.uc_stack.ss_size = arena_.stack_bytes();
+    live->rec.ctx.uc_link = &sched_.ctx;
     makecontext(&live->rec.ctx, fiber_trampoline, 0);
+#endif
     f.live = live;
   }
+
+#if defined(CODS_SIM_ASM_SWITCH)
+  /// Builds, below `stack_top` (page-aligned), the frame cods_fiber_switch
+  /// pops on a fiber's first entry: the scheduler thread's current MXCSR
+  /// and x87 control word (what getcontext gave a new fiber), zeroed
+  /// callee-saved registers, fiber_trampoline as the return address,
+  /// and a null return address above it that ends unwinding. The ret
+  /// leaves rsp at 8 mod 16, as a call would.
+  static void* first_frame(std::byte* stack_top) {
+    u32 mxcsr = 0;
+    u16 fpu_control = 0;
+    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpu_control));
+    constexpr int kWords = 10;  // control words, 6 registers, 2 returns
+    u64* frame = reinterpret_cast<u64*>(stack_top) - kWords;
+#if defined(CODS_SIM_ASAN)
+    // A retired fiber never returned from its frames, so their redzones
+    // stay poisoned on the recycled stack.
+    __asan_unpoison_memory_region(frame, kWords * sizeof(u64));
+#endif
+    std::fill(frame, frame + kWords, u64{0});
+    frame[0] = fpu_control;
+    frame[1] = mxcsr;
+    frame[8] = reinterpret_cast<u64>(&fiber_trampoline);
+    return frame;
+  }
+#endif
 
   void retire(Fiber& f) {
     LiveFiber* live = f.live;
@@ -392,8 +476,12 @@ struct Impl : blocking::SimHook {
 #if defined(CODS_SIM_TSAN)
     __tsan_switch_to_fiber(to.tsan, 0);
 #endif
+#if defined(CODS_SIM_ASM_SWITCH)
+    cods_fiber_switch(&from.sp, to.sp);
+#else
     CODS_CHECK(swapcontext(&from.ctx, &to.ctx) == 0,
                "simulate: swapcontext failed");
+#endif
 #if defined(CODS_SIM_ASAN)
     __sanitizer_finish_switch_fiber(from.fake_stack, nullptr, nullptr);
 #endif

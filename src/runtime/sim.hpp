@@ -1,8 +1,10 @@
 // Discrete-event rank enactment for ExecMode::kSimulate (docs/SIMULATION.md).
 //
 // SimEngine runs every rank body of one run_collect() as a cooperative
-// fiber (ucontext) on the calling OS thread, scheduled by a central
-// event queue keyed by virtual timestamp. A fiber's virtual time is the
+// fiber on the calling OS thread, scheduled by a central event queue
+// keyed by virtual timestamp. On x86-64 a switch saves only the
+// callee-saved registers and FP control words and makes no syscall;
+// other ISAs switch through glibc ucontext. A fiber's virtual time is the
 // modelled time its TaskClock accumulated — the same per-operation costs
 // the live modes charge — so event order follows the cost model, not the
 // host scheduler. Blocking never parks the thread: every CondVar wait,

@@ -2,16 +2,23 @@
 // the discrete-event engine must be observationally indistinguishable
 // from the live dispatch modes. SimEngine unit tests pin the event
 // semantics (deterministic order, virtual deadlines, FIFO wakeups,
-// deadlock cancellation, stack recycling); runtime-level tests pin rank
-// enactment; and a property suite drives generated topologies (via the
-// shared src/wfgen generator) — fork-join, pipeline, diamond, in-situ
-// bundles, fault-injected recovery and straggler speculation — through
-// kSimulate vs kPooled, exact-comparing traces, WaveReports,
-// ByteCounters, journals and critical-path phase decompositions.
+// deadlock cancellation, stack recycling) and the context switch itself
+// (stack alignment, per-fiber FP control, callee-saved registers);
+// runtime-level tests pin rank enactment; and a property suite drives
+// generated topologies (via the shared src/wfgen generator) — fork-join,
+// pipeline, diamond, in-situ bundles, fault-injected recovery and
+// straggler speculation — through kSimulate vs kPooled, exact-comparing
+// traces, WaveReports, ByteCounters, journals and critical-path phase
+// decompositions.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cfenv>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -209,6 +216,162 @@ TEST(SimEngine, RejectsNestedRuns) {
                            inner.run(1, [](i32) {});
                          }),
                Error);
+}
+
+// ---------------------------------------------------------------------
+// The context switch: what a fiber must find intact across switches.
+// ---------------------------------------------------------------------
+
+/// Two fibers taking strict turns through one CondVar. pass() parks the
+/// caller until the other fiber passes back (or has left), so every call
+/// switches out to the scheduler and back in.
+struct TurnTaking {
+  Mutex mu{"test.sim_turns"};
+  CondVar cv;
+  i32 turn = 0;
+  i32 running = 2;
+
+  void pass(i32 me) {
+    MutexLock lock(mu);
+    turn = 1 - me;
+    cv.notify_all();
+    while (turn != me && running == 2) cv.wait(lock);
+  }
+
+  void leave() {
+    MutexLock lock(mu);
+    --running;
+    cv.notify_all();
+  }
+};
+
+/// Whether an alignas(A) local of a fresh frame is A-aligned. The address
+/// goes through a volatile so the compiler cannot fold the test away.
+template <std::size_t A>
+[[gnu::noinline]] bool local_is_aligned() {
+  alignas(A) unsigned char local[A] = {};
+  volatile std::uintptr_t address =
+      reinterpret_cast<std::uintptr_t>(&local[0]);
+  return address % A == 0;
+}
+
+TEST(SimEngine, FreshFiberStackIsAbiAligned) {
+  TurnTaking turns;
+  SimEngine sim;
+  sim.run(2, [&](i32 task) {
+    EXPECT_TRUE(local_is_aligned<16>()) << "first entry, fiber " << task;
+    EXPECT_TRUE(local_is_aligned<32>()) << "first entry, fiber " << task;
+    turns.pass(task);
+    EXPECT_TRUE(local_is_aligned<16>()) << "after resume, fiber " << task;
+    EXPECT_TRUE(local_is_aligned<32>()) << "after resume, fiber " << task;
+    turns.leave();
+  });
+  EXPECT_EQ(sim.stats().cancellations, 0u);
+}
+
+/// 1/3 rounded in the live rounding mode; volatile operands keep the
+/// division at run time.
+double one_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(SimEngine, FloatingPointControlIsPerFiber) {
+  const int caller_mode = std::fegetround();
+  ASSERT_NE(caller_mode, FE_UPWARD);
+  const double caller_third = one_third();
+  ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+  const double upward_third = one_third();
+  ASSERT_EQ(std::fesetround(caller_mode), 0);
+  ASSERT_GT(upward_third, caller_third);
+
+  TurnTaking turns;
+  SimEngine sim;
+  sim.run(2, [&](i32 task) {
+    if (task == 0) {
+      EXPECT_EQ(std::fesetround(FE_UPWARD), 0);
+      turns.pass(task);  // fiber 1 runs in between
+      EXPECT_EQ(std::fegetround(), FE_UPWARD);
+      EXPECT_EQ(one_third(), upward_third);
+    } else {
+      // A new fiber starts in the scheduler's mode, not its sibling's.
+      EXPECT_EQ(std::fegetround(), caller_mode);
+      EXPECT_EQ(one_third(), caller_third);
+      turns.pass(task);
+    }
+    turns.leave();
+  });
+  const int after_mode = std::fegetround();
+  const double after_third = one_third();
+  std::fesetround(caller_mode);
+  EXPECT_EQ(after_mode, caller_mode);
+  EXPECT_EQ(after_third, caller_third);
+}
+
+struct Churned {
+  std::array<u64, 8> ints{};
+  std::array<double, 4> reals{};
+  bool operator==(const Churned&) const = default;
+};
+
+/// Keeps more integer locals live across every yield() than there are
+/// callee-saved registers, so all six (rbx, rbp, r12-r15 on x86-64) hold
+/// values across the switch beneath each yield, unless a frame in
+/// between saves them itself; the doubles live in stack slots. Not
+/// inlined, and yield is an opaque call, so the allocation stays so.
+/// Every live value, the loop counter included, depends on `seed`, so
+/// two fibers churning in lockstep never hold equal registers.
+[[gnu::noinline]] Churned churn_locals(u64 seed, u64 rounds,
+                                       const std::function<void()>& yield) {
+  u64 a = seed;
+  u64 b = seed * 3;
+  u64 c = seed * 5;
+  u64 d = seed * 7;
+  u64 e = seed * 11;
+  u64 g = seed * 13;
+  u64 h = seed * 17;
+  u64 k = seed * 19;
+  double x = static_cast<double>(seed) * 0.5;
+  double y = static_cast<double>(seed) * 0.25;
+  double z = static_cast<double>(seed) * 0.125;
+  double w = static_cast<double>(seed) * 2.0;
+  const u64 first = seed * 1000003;
+  for (u64 i = first; i < first + rounds; ++i) {
+    a += 1;
+    b += a;
+    c ^= b + i;
+    d = d * 31 + c;
+    e += d >> 3;
+    g -= e & 0xff;
+    h = (h << 1) ^ g;
+    k += h | a;
+    x += 1.0;
+    y += 0.5;
+    z -= 0.25;
+    w += x;
+    yield();
+  }
+  return Churned{{a, b, c, d, e, g, h, k}, {x, y, z, w}};
+}
+
+TEST(SimEngine, LocalsSurviveManySwitches) {
+  constexpr u64 kYields = 10000;
+  TurnTaking turns;
+  std::array<Churned, 2> seen{};
+  SimEngine sim;
+  sim.run(2, [&](i32 task) {
+    seen[static_cast<std::size_t>(task)] = churn_locals(
+        static_cast<u64>(task) + 1, kYields, [&] { turns.pass(task); });
+    turns.leave();
+  });
+  EXPECT_GE(sim.stats().switches, 4u * kYields);
+  for (i32 task = 0; task < 2; ++task) {
+    const auto expected =
+        churn_locals(static_cast<u64>(task) + 1, kYields, [] {});
+    EXPECT_EQ(seen[static_cast<std::size_t>(task)], expected)
+        << "fiber " << task;
+  }
 }
 
 // ---------------------------------------------------------------------
