@@ -47,7 +47,7 @@ struct SimulatePoint {
   u64 peak_rss_bytes = 0;   ///< process high-water mark after this point
                             ///< (monotone across the sweep: the kernel
                             ///< counter never decreases within a process)
-  u64 arena_bytes = 0;      ///< stack-arena bytes made writable
+  u64 arena_bytes = 0;      ///< shared fiber stack + saved stack copies
   u64 inter_shm = 0;
   u64 inter_net = 0;
   u64 stored_bytes = 0;
@@ -56,12 +56,11 @@ struct SimulatePoint {
 
 /// Peak-RSS regression budget the CI scale smoke reads back from the
 /// committed JSON: the smoke's process peak RSS divided by its rank
-/// count must stay under this. The sweep's asymptote is ~4,210 B/rank
-/// (side=1024, 1,310,720 ranks); the smoke's producer-only 262,144-rank
-/// wave amortizes fixed process costs worse and measures ~5,230 B/rank.
-/// Chosen as ~2x the smoke's bytes/rank when it was set (~6,160 B/rank,
-/// before fibers stopped carrying a ucontext_t), for slack.
-constexpr u64 kRssBudgetBytesPerRank = 12288;
+/// count must stay under this. The smoke's producer-only 262,144-rank
+/// wave measures ~2,630 B/rank, since a parked rank keeps a copy of its
+/// live stack instead of a dirty stack page. Chosen as ~2.3x that, the
+/// slack the previous budget (12,288 over ~5,230 B/rank) left.
+constexpr u64 kRssBudgetBytesPerRank = 6144;
 
 /// Cluster spec for the simulate rungs: near-cubic torus with just
 /// enough volume, instead of the default exact factorization. Rung node

@@ -5,9 +5,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -19,7 +23,6 @@
 #include "common/sync.hpp"
 #include "health/task_clock.hpp"
 #include "runtime/calendar_queue.hpp"
-#include "runtime/stack_arena.hpp"
 #include "trace/trace.hpp"
 
 // Fiber-switch annotations keep the sanitizers' shadow state coherent
@@ -115,29 +118,66 @@ thread_local Impl* t_impl = nullptr;
 /// One switchable execution context: the scheduler (the thread's native
 /// stack) or a rank fiber.
 struct ContextRec {
-#if defined(CODS_SIM_ASM_SWITCH)
-  void* sp = nullptr;  // saved stack pointer while switched out
-#else
+  /// Lowest live stack address while switched out. The assembly switch
+  /// stores its stack pointer here; the ucontext path stores a frame
+  /// marker less kSwapSlack (switch_context).
+  void* sp = nullptr;
+#if !defined(CODS_SIM_ASM_SWITCH)
   ucontext_t ctx{};
 #endif
-  void* fake_stack = nullptr;          // ASan fake-frame save slot
-  const void* stack_bottom = nullptr;  // lowest stack address
-  std::size_t stack_size = 0;
-  void* tsan = nullptr;  // TSan logical-thread handle
+  void* fake_stack = nullptr;  // ASan fake-frame save slot
+  void* tsan = nullptr;        // TSan logical-thread handle
 };
 
 /// The per-fiber state that only a started fiber needs — saved context,
-/// arena stack slot, parked thread-local state. Allocated only while a
+/// saved stack copy, parked thread-local state. Allocated only while a
 /// fiber is live (started, not yet done) and recycled through a free
 /// pool, so at 10^6 ranks the engine holds peak-co-residency LiveFibers,
 /// not one per rank. Pointer-stable (pool of unique_ptr): a suspended
 /// fiber's switch stored its stack pointer into the record by address.
 struct LiveFiber {
   ContextRec rec;
-  std::byte* stack = nullptr;  ///< arena slot (StackArena::acquire)
+  /// The fiber's live stack, [rec.sp, shared stack top), copied out while
+  /// it is parked. Grows to the deepest park of any fiber that used this
+  /// record and is recycled with it.
+  std::unique_ptr<std::byte[]> saved;
+  std::size_t saved_capacity = 0;
   /// Thread-local state parked here while the fiber is switched out.
   TaskClock::Snapshot clock{};
   TraceContext* trace = nullptr;
+};
+
+/// The one stack every fiber runs on: SimEngine::kDefaultStackBytes of
+/// read/write memory above a PROT_NONE guard page, so an overflowing
+/// fiber faults instead of writing into whatever lies below.
+class SharedStack {
+ public:
+  static constexpr auto kBytes =
+      static_cast<std::size_t>(SimEngine::kDefaultStackBytes);
+
+  SharedStack()
+      : guard_bytes_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))) {
+    void* map = mmap(nullptr, guard_bytes_ + kBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    CODS_CHECK(map != MAP_FAILED, "simulate: cannot map the fiber stack");
+    map_ = static_cast<std::byte*>(map);
+    CODS_CHECK(mprotect(map_, guard_bytes_, PROT_NONE) == 0,
+               "simulate: cannot protect the fiber stack's guard page");
+  }
+  ~SharedStack() { munmap(map_, guard_bytes_ + kBytes); }
+  SharedStack(const SharedStack&) = delete;
+  SharedStack& operator=(const SharedStack&) = delete;
+
+  std::byte* bottom() const { return map_ + guard_bytes_; }
+  std::byte* top() const { return bottom() + kBytes; }
+  bool contains(const void* p) const {
+    const auto* b = static_cast<const std::byte*>(p);
+    return b >= bottom() && b < top();
+  }
+
+ private:
+  std::size_t guard_bytes_;  ///< one page
+  std::byte* map_ = nullptr;
 };
 
 /// Always-resident per-rank record, kept to ~half a cache line so a
@@ -294,9 +334,7 @@ u64 read_peak_rss_bytes() {
 
 struct Impl : blocking::SimHook {
   Impl(SimStats* stats, const std::function<void(i32)>& body)
-      : stats_(stats),
-        body_(body),
-        arena_(static_cast<std::size_t>(SimEngine::kDefaultStackBytes)) {}
+      : stats_(stats), body_(body) {}
 
   // ---- scheduler ----
 
@@ -355,8 +393,11 @@ struct Impl : blocking::SimHook {
     }
     t_impl = prev_impl;
     blocking::install_sim_hook(prev_hook);
-    stats_->stacks = arena_.slots();
-    stats_->arena_bytes = arena_.committed_bytes();
+    stats_->stacks = static_cast<i32>(live_pool_.size());
+    stats_->arena_bytes = SharedStack::kBytes;
+    for (const auto& live : live_pool_) {
+      stats_->arena_bytes += live->saved_capacity;
+    }
     stats_->ready_rebuilds = ready_.rebuilds();
     stats_->peak_rss_bytes = read_peak_rss_bytes();
     // Surface the lowest-index escaped exception, mirroring the pooled
@@ -373,7 +414,11 @@ struct Impl : blocking::SimHook {
   void dispatch(Fiber& f) {
     CODS_CHECK(f.state == Fiber::State::kNew || f.state == Fiber::State::kReady,
                "simulate: dispatched a fiber that is not runnable");
-    if (f.state == Fiber::State::kNew) prepare(f);
+    if (f.state == Fiber::State::kNew) {
+      prepare(f);
+    } else {
+      restore_stack(*f.live);
+    }
     LiveFiber& live = *f.live;
     f.state = Fiber::State::kRunning;
     cur_ = &f;
@@ -391,7 +436,37 @@ struct Impl : blocking::SimHook {
     if (f.state == Fiber::State::kDone) {
       ++completed_;
       retire(f);
+    } else {
+      save_stack(live);
     }
+  }
+
+  /// Copies a parked fiber's live stack out of the shared stack.
+  void save_stack(LiveFiber& live) {
+    auto* sp = static_cast<std::byte*>(live.rec.sp);
+    const auto depth = static_cast<std::size_t>(stack_.top() - sp);
+    if (depth > live.saved_capacity) {
+      live.saved_capacity = (depth + 15) & ~std::size_t{15};
+      live.saved =
+          std::make_unique_for_overwrite<std::byte[]>(live.saved_capacity);
+    }
+#if defined(CODS_SIM_ASAN)
+    // The fiber's frames carry redzones; lift them so the copy may read.
+    __asan_unpoison_memory_region(sp, depth);
+#endif
+    std::memcpy(live.saved.get(), sp, depth);
+  }
+
+  /// Copies a parked fiber's saved stack back to where it ran. Its
+  /// frames come back without redzones: the shadow still describes the
+  /// frames of whichever fiber ran there last.
+  void restore_stack(const LiveFiber& live) {
+    auto* sp = static_cast<std::byte*>(live.rec.sp);
+    const auto depth = static_cast<std::size_t>(stack_.top() - sp);
+#if defined(CODS_SIM_ASAN)
+    __asan_unpoison_memory_region(sp, depth);
+#endif
+    std::memcpy(sp, live.saved.get(), depth);
   }
 
   void prepare(Fiber& f) {
@@ -403,21 +478,18 @@ struct Impl : blocking::SimHook {
       live_pool_.push_back(std::make_unique<LiveFiber>());
       live = live_pool_.back().get();
     }
-    live->stack = arena_.acquire();
     live->clock = TaskClock::Snapshot{};
     live->trace = nullptr;
     live->rec.fake_stack = nullptr;
-    live->rec.stack_bottom = live->stack;
-    live->rec.stack_size = arena_.stack_bytes();
 #if defined(CODS_SIM_TSAN)
     live->rec.tsan = __tsan_create_fiber(0);
 #endif
 #if defined(CODS_SIM_ASM_SWITCH)
-    live->rec.sp = first_frame(live->stack + arena_.stack_bytes());
+    live->rec.sp = first_frame(stack_.top());
 #else
     CODS_CHECK(getcontext(&live->rec.ctx) == 0, "simulate: getcontext failed");
-    live->rec.ctx.uc_stack.ss_sp = live->stack;
-    live->rec.ctx.uc_stack.ss_size = arena_.stack_bytes();
+    live->rec.ctx.uc_stack.ss_sp = stack_.bottom();
+    live->rec.ctx.uc_stack.ss_size = SharedStack::kBytes;
     live->rec.ctx.uc_link = &sched_.ctx;
     makecontext(&live->rec.ctx, fiber_trampoline, 0);
 #endif
@@ -439,7 +511,7 @@ struct Impl : blocking::SimHook {
     u64* frame = reinterpret_cast<u64*>(stack_top) - kWords;
 #if defined(CODS_SIM_ASAN)
     // A retired fiber never returned from its frames, so their redzones
-    // stay poisoned on the recycled stack.
+    // stay poisoned on the shared stack.
     __asan_unpoison_memory_region(frame, kWords * sizeof(u64));
 #endif
     std::fill(frame, frame + kWords, u64{0});
@@ -456,11 +528,10 @@ struct Impl : blocking::SimHook {
     __tsan_destroy_fiber(live->rec.tsan);
     live->rec.tsan = nullptr;
 #endif
-    // Recycle stack and context record for not-yet-started fibers: peak
-    // allocation tracks co-resident ranks, not total ranks, so
-    // pipeline-shaped workloads enact 1M ranks in a handful of slots.
-    arena_.release(live->stack);
-    live->stack = nullptr;
+    // Recycle the record and its saved-stack buffer for not-yet-started
+    // fibers: peak allocation tracks co-resident ranks, not total ranks,
+    // so pipeline-shaped workloads enact 1M ranks in a handful of
+    // records.
     free_live_.push_back(live);
     f.live = nullptr;
   }
@@ -470,8 +541,11 @@ struct Impl : blocking::SimHook {
   void switch_context(ContextRec& from, ContextRec& to,
                       [[maybe_unused]] bool exiting = false) {
 #if defined(CODS_SIM_ASAN)
-    __sanitizer_start_switch_fiber(exiting ? nullptr : &from.fake_stack,
-                                   to.stack_bottom, to.stack_size);
+    const bool to_sched = &to == &sched_;
+    __sanitizer_start_switch_fiber(
+        exiting ? nullptr : &from.fake_stack,
+        to_sched ? sched_stack_bottom_ : stack_.bottom(),
+        to_sched ? sched_stack_size_ : SharedStack::kBytes);
 #endif
 #if defined(CODS_SIM_TSAN)
     __tsan_switch_to_fiber(to.tsan, 0);
@@ -479,6 +553,11 @@ struct Impl : blocking::SimHook {
 #if defined(CODS_SIM_ASM_SWITCH)
     cods_fiber_switch(&from.sp, to.sp);
 #else
+    if (&from != &sched_) {
+      // swapcontext saves the registers into the record and resumes at
+      // this frame's stack pointer, just above the marker.
+      from.sp = std::max(frame_marker() - kSwapSlack, stack_.bottom());
+    }
     CODS_CHECK(swapcontext(&from.ctx, &to.ctx) == 0,
                "simulate: swapcontext failed");
 #endif
@@ -493,8 +572,28 @@ struct Impl : blocking::SimHook {
     ready_.push(ReadyItem{f.vtime, next_seq_++, index_of(f)});
   }
 
-  /// Appends `f` to the FIFO waiter list of `key` in `table`.
+  /// Whether `p` lies on a fiber's stack: the shared stack or, when ASan
+  /// moves locals to fake frames to catch use after return, the running
+  /// fiber's fake stack.
+  bool on_fiber_stack(const void* p) const {
+#if defined(CODS_SIM_ASAN)
+    if (__asan_addr_is_in_fake_stack(__asan_get_current_fake_stack(),
+                                     const_cast<void*>(p), nullptr,
+                                     nullptr) != nullptr) {
+      return true;
+    }
+#endif
+    return stack_.contains(p);
+  }
+
+  /// Appends `f` to the FIFO waiter list of `key` in `table`. A key on a
+  /// fiber's stack is rejected: it is a different object, or garbage,
+  /// whenever another fiber runs there, and two parked fibers' keys can
+  /// collide at one address.
   void append_waiter(WaitTable& table, const void* key, Fiber& f) {
+    CODS_CHECK(!on_fiber_stack(key),
+               "simulate: wait channel on a fiber's stack (sync objects may "
+               "not live on a fiber's stack)");
     const i32 index = index_of(f);
     f.next_waiter = -1;
     WaitList& list = table.find_or_insert(key);
@@ -646,12 +745,12 @@ struct Impl : blocking::SimHook {
       CODS_NO_THREAD_SAFETY_ANALYSIS override {
     Fiber& f = require_fiber();
     if (f.cancelled) throw_cancelled();
+    append_waiter(cv_waiters_, cv, f);  // may throw: register holding mu
     mu.unlock();
     f.wait_key = cv;
     f.timed = false;
     f.timed_out = false;
     ++f.wait_epoch;
-    append_waiter(cv_waiters_, cv, f);
     suspend();
     f.wait_key = nullptr;
     mu.lock();
@@ -666,6 +765,7 @@ struct Impl : blocking::SimHook {
       ++stats_->timeouts;
       return true;
     }
+    append_waiter(cv_waiters_, cv, f);  // may throw: register holding mu
     mu.unlock();
     f.wait_key = cv;
     f.timed = true;
@@ -674,7 +774,6 @@ struct Impl : blocking::SimHook {
     // TaskClock::elapsed() is the fiber's live virtual clock (its state
     // is swapped into the thread while the fiber runs).
     f.deadline = TaskClock::elapsed() + seconds;
-    append_waiter(cv_waiters_, cv, f);
     push_timed(f.deadline, f);
     suspend();
     f.wait_key = nullptr;
@@ -716,14 +815,31 @@ struct Impl : blocking::SimHook {
 
   // ---- state ----
 
+#if !defined(CODS_SIM_ASM_SWITCH)
+  /// Margin below frame_marker() that a parked fiber's copy includes:
+  /// covers swapcontext's frame and any stack its caller adjusts after
+  /// taking the marker.
+  static constexpr std::ptrdiff_t kSwapSlack = 256;
+
+  /// The frame address of a call that is never inlined, which lies just
+  /// below its caller's stack pointer.
+  [[gnu::noinline]] static std::byte* frame_marker() {
+    return static_cast<std::byte*>(__builtin_frame_address(0));
+  }
+#endif
+
   SimStats* stats_;
   const std::function<void(i32)>& body_;
-  StackArena arena_;
+  SharedStack stack_;
   std::vector<Fiber> fibers_;
   std::vector<std::unique_ptr<LiveFiber>> live_pool_;
   std::vector<LiveFiber*> free_live_;
   std::vector<std::pair<i32, std::exception_ptr>> errors_;
   ContextRec sched_;
+  /// The scheduler's native stack, learned at a fiber's first entry
+  /// (ASan's switch hooks need the bounds of the stack switched to).
+  const void* sched_stack_bottom_ = nullptr;
+  std::size_t sched_stack_size_ = 0;
   Fiber* cur_ = nullptr;
   CalendarQueue ready_;
   WaitTable cv_waiters_;
@@ -742,8 +858,8 @@ void fiber_trampoline() {
 #if defined(CODS_SIM_ASAN)
   // First entry to this fiber: complete the scheduler's switch and learn
   // the native stack's bounds for the switches back.
-  __sanitizer_finish_switch_fiber(nullptr, &impl->sched_.stack_bottom,
-                                  &impl->sched_.stack_size);
+  __sanitizer_finish_switch_fiber(nullptr, &impl->sched_stack_bottom_,
+                                  &impl->sched_stack_size_);
 #endif
   Fiber* f = impl->cur_;
   const i32 index = impl->index_of(*f);

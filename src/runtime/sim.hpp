@@ -4,16 +4,19 @@
 // fiber on the calling OS thread, scheduled by a central event queue
 // keyed by virtual timestamp. On x86-64 a switch saves only the
 // callee-saved registers and FP control words and makes no syscall;
-// other ISAs switch through glibc ucontext. A fiber's virtual time is the
-// modelled time its TaskClock accumulated — the same per-operation costs
-// the live modes charge — so event order follows the cost model, not the
-// host scheduler. Blocking never parks the thread: every CondVar wait,
-// Mutex acquisition and notification in src/ diverts through the
-// thread-local blocking::SimHook this engine installs (common/
-// blocking.hpp), suspending the calling fiber until the matching wakeup
-// event. Transports, byte ledgers, fault injection, traces and health
-// heartbeats therefore run byte-for-byte unchanged; the golden-trace and
-// equivalence suites pin simulate-mode output to kPooled's exactly.
+// other ISAs switch through glibc ucontext. Every fiber runs on one
+// shared stack; a parked fiber's live frames are copied out to a buffer
+// and back on resume, so nothing may point into a parked fiber's stack.
+// A fiber's virtual time is the modelled time its TaskClock accumulated —
+// the same per-operation costs the live modes charge — so event order
+// follows the cost model, not the host scheduler. Blocking never parks
+// the thread: every CondVar wait, Mutex acquisition and notification in
+// src/ diverts through the thread-local blocking::SimHook this engine
+// installs (common/blocking.hpp), suspending the calling fiber until the
+// matching wakeup event. Transports, byte ledgers, fault injection,
+// traces and health heartbeats therefore run byte-for-byte unchanged; the
+// golden-trace and equivalence suites pin simulate-mode output to
+// kPooled's exactly.
 //
 // Timed waits (mailbox receives, space/lock-service waits bounded by
 // RetryPolicy::op_timeout) become virtual deadlines that fire only at
@@ -41,9 +44,11 @@ struct SimStats {
   u64 mutex_waits = 0;    ///< contended Mutex acquisitions (fiber parked)
   u64 cancellations = 0;  ///< fibers unwound to break a deadlock
   i32 peak_blocked = 0;   ///< max fibers simultaneously suspended
-  i32 stacks = 0;  ///< stacks allocated (recycling caps this at co-residency)
+  i32 stacks = 0;  ///< peak co-resident started fibers (pooled LiveFibers)
   double final_vtime = 0.0;  ///< largest virtual clock any fiber reached
-  u64 arena_bytes = 0;    ///< stack-arena bytes made writable (stacks x size)
+  /// Fiber stack memory: the shared stack plus the peak total capacity of
+  /// parked fibers' saved stack copies.
+  u64 arena_bytes = 0;
   u64 peak_rss_bytes = 0;  ///< process peak RSS after the run (high-water
                            ///< mark over the process lifetime, not per-run)
   u64 ready_rebuilds = 0;  ///< calendar-queue bucket rebuilds
@@ -65,10 +70,10 @@ class SimEngine {
 
   const SimStats& stats() const { return stats_; }
 
-  /// Stack bytes reserved per fiber. Stacks come from a guard-paged slab
-  /// arena (runtime/stack_arena.hpp) and recycle at fiber retirement, so
-  /// the carved-slot count tracks peak co-residency and only pages a rank
-  /// actually touches become resident.
+  /// Bytes of the one guard-paged stack every fiber runs on. A parked
+  /// fiber keeps a copy of only its live part (a rank parks ~1.5 KiB
+  /// deep), so this bounds how deep a rank may recurse, not what a rank
+  /// costs.
   static constexpr i64 kDefaultStackBytes = 96 * 1024;
 
  private:

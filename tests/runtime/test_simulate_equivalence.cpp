@@ -2,16 +2,18 @@
 // the discrete-event engine must be observationally indistinguishable
 // from the live dispatch modes. SimEngine unit tests pin the event
 // semantics (deterministic order, virtual deadlines, FIFO wakeups,
-// deadlock cancellation, stack recycling) and the context switch itself
-// (stack alignment, per-fiber FP control, callee-saved registers);
-// runtime-level tests pin rank enactment; and a property suite drives
-// generated topologies (via the shared src/wfgen generator) — fork-join,
-// pipeline, diamond, in-situ bundles, fault-injected recovery and
-// straggler speculation — through kSimulate vs kPooled, exact-comparing
-// traces, WaveReports, ByteCounters, journals and critical-path phase
-// decompositions.
+// deadlock cancellation, stack recycling), the context switch itself
+// (stack alignment, per-fiber FP control, callee-saved registers) and
+// the shared stack (parked copies, stack-local wait channels, the guard
+// page); runtime-level tests pin rank enactment; and a property suite
+// drives generated topologies (via the shared src/wfgen generator) —
+// fork-join, pipeline, diamond, in-situ bundles, fault-injected recovery
+// and straggler speculation — through kSimulate vs kPooled,
+// exact-comparing traces, WaveReports, ByteCounters, journals and
+// critical-path phase decompositions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cfenv>
@@ -33,6 +35,18 @@
 
 namespace cods {
 namespace {
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kTsan = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kTsan = true;
+#else
+constexpr bool kTsan = false;
+#endif
+#else
+constexpr bool kTsan = false;
+#endif
 
 // ---------------------------------------------------------------------
 // SimEngine unit tests: event semantics in isolation.
@@ -372,6 +386,168 @@ TEST(SimEngine, LocalsSurviveManySwitches) {
     EXPECT_EQ(seen[static_cast<std::size_t>(task)], expected)
         << "fiber " << task;
   }
+}
+
+// ---------------------------------------------------------------------
+// The shared stack: every fiber runs on one stack, and a parked fiber's
+// live frames are copied out and back.
+// ---------------------------------------------------------------------
+
+TEST(SimEngine, StackLocalWaitChannelIsRejected) {
+  // On the shared stack a local CondVar is another fiber's memory while
+  // its owner is parked, so the engine refuses it as a wait channel
+  // instead of letting the wait run out its deadline.
+  Mutex mu{"test.sim_stack_local"};
+  SimEngine sim;
+  try {
+    sim.run(1, [&](i32) {
+      CondVar local;
+      MutexLock lock(mu);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::hours(1);
+      local.wait_until(lock, deadline);
+    });
+    FAIL() << "expected cods::Error for a stack-local wait channel";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("may not live on a fiber's stack"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sim.stats().timeouts, 0u);
+}
+
+/// Parks the caller until another fiber parks or leaves; with more than
+/// one fiber running, every call switches out and back in.
+struct Yielder {
+  Mutex mu{"test.sim_yielder"};
+  CondVar cv;
+  u64 parks = 0;
+  i32 running = 0;
+
+  void yield() {
+    MutexLock lock(mu);
+    const u64 mine = ++parks;
+    cv.notify_all();
+    while (parks == mine && running > 1) cv.wait(lock);
+  }
+
+  void leave() {
+    MutexLock lock(mu);
+    --running;
+    cv.notify_all();
+  }
+};
+
+constexpr std::size_t kFrameWords = 64;  // 512 B of locals per level
+
+u64 stamp(i32 fiber, i32 level, std::size_t word) {
+  return (static_cast<u64>(fiber) << 40) ^ (static_cast<u64>(level) << 20) ^
+         word;
+}
+
+/// Recurses `levels` deep. Each frame fills a volatile local array from
+/// (fiber, level) and parks on the way down and on the way back up,
+/// checking its array after every resume, so each parked copy is taken
+/// at a different depth than the last. Returns the number of words found
+/// changed; `deepest` receives the lowest frame address reached.
+[[gnu::noinline]] u64 park_at_every_level(i32 fiber, i32 level, i32 levels,
+                                          Yielder& yielder,
+                                          std::uintptr_t& deepest) {
+  volatile u64 cells[kFrameWords];
+  for (std::size_t w = 0; w < kFrameWords; ++w) {
+    cells[w] = stamp(fiber, level, w);
+  }
+  const auto check = [&] {
+    u64 bad = 0;
+    for (std::size_t w = 0; w < kFrameWords; ++w) {
+      bad += cells[w] != stamp(fiber, level, w) ? 1 : 0;
+    }
+    return bad;
+  };
+  deepest = std::min(deepest, reinterpret_cast<std::uintptr_t>(
+                                  __builtin_frame_address(0)));
+  yielder.yield();
+  u64 bad = check();
+  if (level + 1 < levels) {
+    bad += park_at_every_level(fiber, level + 1, levels, yielder, deepest);
+    yielder.yield();
+    bad += check();
+  }
+  return bad;
+}
+
+TEST(SimEngine, ParkedStacksSurviveInterleaving) {
+  // 64 fibers recurse to depths from 1 to 40 KiB, so parked copies span
+  // several pages and differ in length. Every fiber parks first at its
+  // shallowest frame and later deeper, so its saved copy has to grow.
+  constexpr i32 kFibers = 64;
+  const auto levels_of = [](i32 fiber) { return 2 + fiber * 78 / 63; };
+  Yielder yielder;
+  yielder.running = kFibers;
+  std::vector<u64> bad(kFibers, ~u64{0});
+  std::vector<std::uintptr_t> depth(kFibers, 0);
+  SimEngine sim;
+  sim.run(kFibers, [&](i32 task) {
+    const auto entry =
+        reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    std::uintptr_t deepest = entry;
+    bad[static_cast<std::size_t>(task)] =
+        park_at_every_level(task, 0, levels_of(task), yielder, deepest);
+    depth[static_cast<std::size_t>(task)] = entry - deepest;
+    yielder.leave();
+  });
+  std::uintptr_t total_depth = 0;
+  for (i32 task = 0; task < kFibers; ++task) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(task)], 0u) << "fiber " << task;
+    total_depth += depth[static_cast<std::size_t>(task)];
+  }
+  const SimStats& stats = sim.stats();
+  EXPECT_EQ(stats.cancellations, 0u);
+  EXPECT_EQ(stats.stacks, kFibers);
+  // Each fiber's copy grew at least as deep as its recursion went.
+  EXPECT_GE(stats.arena_bytes,
+            static_cast<u64>(SimEngine::kDefaultStackBytes) + total_depth);
+}
+
+/// Recurses until a frame lies below `floor`. Each level writes its own
+/// locals and return address, so every page on the way down is touched.
+[[gnu::noinline]] u64 recurse_below(std::uintptr_t floor) {
+  volatile u64 pad[32];
+  pad[0] = floor;
+  if (reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)) < floor) {
+    return pad[0];
+  }
+  return recurse_below(floor) + pad[0];  // not a tail call
+}
+
+TEST(SimEngine, EveryFiberHasAGuardPage) {
+  if (kTsan) GTEST_SKIP() << "death tests fork; TSan does not support it";
+  // 4,096 fibers park, then the last one overflows: it must fault on the
+  // guard page, not write into another fiber's frames.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr i32 kFibers = 4096;
+  // The stack's size plus 1 KiB, measured from a frame just below the
+  // stack top: inside the guard page, short of anything mapped beneath.
+  constexpr std::uintptr_t kOverflow = SimEngine::kDefaultStackBytes + 1024;
+  const auto overflow_last = [] {
+    Mutex mu{"test.sim_guard"};
+    CondVar cv;
+    bool released = false;
+    SimEngine sim;
+    sim.run(kFibers, [&](i32 task) {
+      MutexLock lock(mu);
+      if (task + 1 < kFibers) {
+        cv.wait(lock, [&] { return released; });
+        return;
+      }
+      const auto here =
+          reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+      recurse_below(here - kOverflow);
+      released = true;
+      cv.notify_all();
+    });
+  };
+  EXPECT_DEATH(overflow_last(), "");
 }
 
 // ---------------------------------------------------------------------
