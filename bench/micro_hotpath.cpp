@@ -1,13 +1,13 @@
 // Hot-path microbenchmarks (docs/PERF.md): sharded vs single-mutex
 // metrics recording under concurrent ranks, interned vs string counter
-// ids, the client DHT lookup cache on repeated retrievals, and the
+// ids, the schedule cache on repeated retrievals, and the
 // simulate-mode fiber switch.
 //
 //   build/bench/micro_hotpath --benchmark_counters_tabular=true
 //
 // The "Legacy" baselines reproduce the pre-sharding registry (one global
 // mutex in front of plain maps) so the speedup is measured against the
-// design this PR replaced, not against a strawman.
+// design the sharded registry replaced, not against a strawman.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -95,9 +95,8 @@ BENCHMARK(BM_ShardedMetricsInternedCount)
     ->UseRealTime();
 
 // --------------------------------------------------------------------------
-// Repeated retrieval latency: the DHT lookup cache vs a query per get.
-// Schedule cache disabled so every get reaches the lookup path; the
-// schedule-cache row shows the (cheaper still) fully cached fast path.
+// Repeated retrieval latency: a DHT query per get vs the schedule cache's
+// fast path, which reuses the cached source list and skips the query.
 // --------------------------------------------------------------------------
 
 struct GetBenchState {
@@ -127,20 +126,17 @@ void BM_RepeatedGetSeq(benchmark::State& state) {
   static GetBenchState s;
   const CoreLoc loc{1, 1};
   CodsClient consumer(s.space, Endpoint{s.cluster.global_core(loc), loc}, 2);
-  const bool schedule_cache = state.range(0) == 2;
+  const bool schedule_cache = state.range(0) == 1;
   consumer.set_schedule_cache_enabled(schedule_cache);
-  consumer.set_lookup_cache_enabled(state.range(0) >= 1);
   const Box whole{{0, 0}, {255, 255}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         consumer.get_seq("field", 0, whole, s.out, 8));
   }
-  state.SetLabel(state.range(0) == 0   ? "uncached"
-                 : state.range(0) == 1 ? "lookup-cache"
-                                       : "schedule-cache");
+  state.SetLabel(schedule_cache ? "schedule-cache" : "uncached");
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RepeatedGetSeq)->Arg(0)->Arg(1)->Arg(2)
+BENCHMARK(BM_RepeatedGetSeq)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 // --------------------------------------------------------------------------

@@ -73,8 +73,8 @@ u64 CodsSpace::save_checkpoint(std::ostream& out) const {
   {
     MutexLock lock(store_mutex_);
     for (const auto& [index_key, keys] : store_index_) {
-      for (const auto& [client, window_key] : keys) {
-        const auto it = store_.find({client, window_key});
+      for (const u64 window_key : keys) {
+        const auto it = store_.find(window_key);
         if (it == store_.end()) continue;
         entries.push_back(Entry{index_key.first, index_key.second,
                                 it->second.node, it->second.box,
@@ -158,7 +158,7 @@ CodsSpace::RestoreResult CodsSpace::restore_from_stream(
     bool exists = false;
     {
       MutexLock lock(store_mutex_);
-      exists = store_by_key_.contains(key);
+      exists = store_.contains(key);
     }
     const std::optional<i32> target = exists ? std::nullopt : remap(node);
     if (!target) {

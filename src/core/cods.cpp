@@ -79,21 +79,19 @@ DataLocation CodsSpace::store_object(i32 node, const std::string& var,
   {
     MutexLock lock(store_mutex_);
     auto& index = store_index_[{var, version}];
-    const auto existing = store_by_key_.find(key);
-    if (existing != store_by_key_.end()) {
-      const i32 owner = existing->second;
+    const auto existing = store_.find(key);
+    if (existing != store_.end()) {
+      const i32 owner_node = existing->second.node;
       if (speculation_.load() && !reexec_.load()) {
         // First completion wins: a speculative re-put of an object that
         // already landed keeps the original (wherever it lives). The
         // caller's traffic was already accounted; only the store and the
         // DHT registration are skipped.
         if (stored != nullptr) *stored = false;
-        const auto it = store_.find({owner, key});
-        CODS_CHECK(it != store_.end(), "store index out of sync");
         DataLocation kept;
         kept.box = box;
-        kept.owner_client = owner;
-        kept.owner_loc = CoreLoc{it->second.node, 0};
+        kept.owner_client = storage_client(owner_node);
+        kept.owner_loc = CoreLoc{owner_node, 0};
         kept.window_key = key;
         return kept;
       }
@@ -102,15 +100,12 @@ DataLocation CodsSpace::store_object(i32 node, const std::string& var,
       // object (possibly on a different node).
       CODS_CHECK(reexec_.load(),
                  "object already stored for this (var, version, box)");
-      replaced_client = owner;
-      const auto it = store_.find({owner, key});
-      if (it != store_.end()) stored_total_ -= it->second.data.size();
-      store_.erase({owner, key});
-      store_by_key_.erase(existing);
-      // The ordered entry list is only walked on this (rare) re-execution
+      replaced_client = storage_client(owner_node);
+      stored_total_ -= existing->second.data.size();
+      store_.erase(existing);
+      // The ordered key list is only walked on this (rare) re-execution
       // replacement path; publication order of the survivors is kept.
-      std::erase_if(index,
-                    [&](const std::pair<i32, u64>& e) { return e.second == key; });
+      std::erase(index, key);
     }
     // Shed-load watermark: recovery re-puts are exempt (restoring lost
     // objects must never be refused for the memory they already held).
@@ -121,11 +116,9 @@ DataLocation CodsSpace::store_object(i32 node, const std::string& var,
       throw OverloadError(data.size(), held, hard);
     }
     stored_total_ += data.size();
-    auto [it, inserted] =
-        store_.insert({{client, key}, StoredObject{node, box, std::move(data)}});
-    CODS_CHECK(inserted, "object already stored for this (var, version, box)");
-    index.push_back({client, key});
-    store_by_key_.emplace(key, client);
+    const auto it =
+        store_.emplace(key, StoredObject{node, box, std::move(data)}).first;
+    index.push_back(key);
     window = std::span(it->second.data);
   }
   if (replaced_client) dart_.withdraw(*replaced_client, key);
@@ -216,14 +209,12 @@ void CodsSpace::retire(const std::string& var, i32 version) {
     MutexLock lock(store_mutex_);
     const auto it = store_index_.find({var, version});
     if (it != store_index_.end()) {
-      for (const auto& [client, key] : it->second) {
-        dart_.withdraw(client, key);
-        store_by_key_.erase(key);
-        const auto obj = store_.find({client, key});
-        if (obj != store_.end()) {
-          stored_total_ -= obj->second.data.size();
-          store_.erase(obj);
-        }
+      for (const u64 key : it->second) {
+        const auto obj = store_.find(key);
+        if (obj == store_.end()) continue;
+        dart_.withdraw(storage_client(obj->second.node), key);
+        stored_total_ -= obj->second.data.size();
+        store_.erase(obj);
       }
       store_index_.erase(it);
     }
@@ -243,9 +234,7 @@ void CodsSpace::retire(const std::string& var, i32 version) {
 
 u64 CodsSpace::stored_bytes() const {
   MutexLock lock(store_mutex_);
-  u64 total = 0;
-  for (const auto& [key, object] : store_) total += object.data.size();
-  return total;
+  return stored_total_;
 }
 
 void CodsSpace::set_watermarks(u64 soft, u64 hard) {
@@ -344,12 +333,12 @@ std::vector<DataLocation> CodsSpace::catalog(const std::string& var,
     MutexLock lock(store_mutex_);
     const auto it = store_index_.find({var, version});
     if (it != store_index_.end()) {
-      for (const auto& [client, key] : it->second) {
-        const auto obj = store_.find({client, key});
+      for (const u64 key : it->second) {
+        const auto obj = store_.find(key);
         if (obj == store_.end()) continue;
         DataLocation loc;
         loc.box = obj->second.box;
-        loc.owner_client = client;
+        loc.owner_client = storage_client(obj->second.node);
         loc.owner_loc = CoreLoc{obj->second.node, 0};
         loc.window_key = key;
         out.push_back(loc);
@@ -382,17 +371,14 @@ u64 CodsSpace::drop_node(i32 node) {
       if (it->second.node == node) {
         lost += it->second.data.size();
         stored_total_ -= it->second.data.size();
-        windows.push_back(it->first);
-        store_by_key_.erase(it->first.second);
+        windows.push_back({storage_client(node), it->first});
         it = store_.erase(it);
       } else {
         ++it;
       }
     }
-    for (auto& [key, entries] : store_index_) {
-      std::erase_if(entries, [&](const std::pair<i32, u64>& e) {
-        return !store_.contains(e);
-      });
+    for (auto& [index_key, keys] : store_index_) {
+      std::erase_if(keys, [&](u64 key) { return !store_.contains(key); });
     }
   }
   {
@@ -529,6 +515,36 @@ GetResult CodsClient::pull_schedule(const Schedule& schedule,
   return result;
 }
 
+std::optional<GetResult> CodsClient::pull_cached(const std::string& key,
+                                                 const std::string& var,
+                                                 i32 version,
+                                                 const Box& region,
+                                                 std::span<std::byte> out,
+                                                 u64 elem_size) {
+  if (!cache_enabled_) return std::nullopt;
+  const auto it = cache_.find(key);
+  if (it == cache_.end()) return std::nullopt;
+  // Reuse the source list, recompute this version's window keys, and
+  // verify the windows still exist.
+  bool usable = !it->second.entries.empty();
+  for (const ScheduleEntry& entry : it->second.entries) {
+    if (!space_->dart().has_window(
+            entry.source.client_id,
+            CodsSpace::window_key(var, version, entry.source_box))) {
+      usable = false;
+      break;
+    }
+  }
+  if (!usable) {
+    cache_.erase(it);
+    return std::nullopt;
+  }
+  GetResult result =
+      pull_schedule(it->second, var, version, region, out, elem_size);
+  result.cache_hit = true;
+  return result;
+}
+
 GetResult CodsClient::get_seq(const std::string& var, i32 version,
                               const Box& region, std::span<std::byte> out,
                               u64 elem_size) {
@@ -537,66 +553,15 @@ GetResult CodsClient::get_seq(const std::string& var, i32 version,
   ScopedSpan span(SpanCategory::kGet, box_bytes(region, elem_size),
                   /*detail=*/1);
   const std::string key = cache_key(var, region, elem_size);
-
-  // Schedule-cache fast path: reuse the source list, recompute this
-  // version's window keys, and verify the windows still exist.
-  if (cache_enabled_) {
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      bool usable = !it->second.entries.empty();
-      for (const ScheduleEntry& entry : it->second.entries) {
-        if (!space_->dart().has_window(
-                entry.source.client_id,
-                CodsSpace::window_key(var, version, entry.source_box))) {
-          usable = false;
-          break;
-        }
-      }
-      if (usable) {
-        GetResult result =
-            pull_schedule(it->second, var, version, region, out, elem_size);
-        result.cache_hit = true;
-        span.close(result.model_time);
-        return result;
-      }
-      cache_.erase(it);
-    }
+  if (auto cached = pull_cached(key, var, version, region, out, elem_size)) {
+    span.close(cached->model_time);
+    return *cached;
   }
 
-  // DHT lookup cache: re-reads of the same (var, version, region) skip the
-  // query RPCs entirely. The epoch is read *before* querying, so an entry
-  // only validates while no put/retire/drop has touched the key since.
-  Metrics& metrics = space_->dart().metrics();
-  const std::string lookup_key = key + "#v" + std::to_string(version);
-  const u64 epoch = space_->dht().epoch(var, version);
-  LookupResult lookup;
-  bool lookup_hit = false;
-  if (lookup_cache_enabled_) {
-    const auto it = lookup_cache_.find(lookup_key);
-    if (it != lookup_cache_.end()) {
-      if (it->second.epoch == epoch) {
-        lookup = it->second.lookup;
-        lookup_hit = true;
-      } else {
-        lookup_cache_.erase(it);
-      }
-    }
-  }
+  const LookupResult lookup = space_->dht().query(var, version, region);
   double query_time = 0.0;
-  if (!lookup_hit) {
-    lookup = space_->dht().query(var, version, region);
-    for (i32 node : lookup.dht_nodes) {
-      query_time += space_->dart().rpc(self_, space_->storage_endpoint(node));
-    }
-    if (lookup_cache_enabled_) {
-      if (lookup_cache_.size() >= kMaxLookupCacheEntries) {
-        lookup_cache_.clear();
-      }
-      lookup_cache_[lookup_key] = CachedLookup{lookup, epoch};
-    }
-  }
-  if (lookup_cache_enabled_) {
-    metrics.add_count(app_id_, lookup_hit ? lookup_hit_id_ : lookup_miss_id_);
+  for (i32 node : lookup.dht_nodes) {
+    query_time += space_->dart().rpc(self_, space_->storage_endpoint(node));
   }
 
   Schedule schedule;
@@ -624,9 +589,7 @@ GetResult CodsClient::get_seq(const std::string& var, i32 version,
   GetResult result = pull_schedule(schedule, var, version, region, out,
                                    elem_size);
   result.model_time += query_time;
-  result.dht_cores =
-      lookup_hit ? 0 : static_cast<i32>(lookup.dht_nodes.size());
-  result.lookup_cache_hit = lookup_hit;
+  result.dht_cores = static_cast<i32>(lookup.dht_nodes.size());
   if (cache_enabled_) cache_[key] = std::move(schedule);
   span.close(result.model_time);
   return result;
@@ -640,31 +603,14 @@ GetResult CodsClient::get_cont(const std::string& var, i32 version,
   ScopedSpan span(SpanCategory::kGet, box_bytes(region, elem_size),
                   /*detail=*/2);
   const std::string key = cache_key(var, region, elem_size);
-
-  if (cache_enabled_) {
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      // Concurrent coupling: producers may not have published this version
-      // yet; wait for coverage before pulling through the cached schedule.
-      space_->wait_cont_coverage(var, version, region);
-      bool usable = !it->second.entries.empty();
-      for (const ScheduleEntry& entry : it->second.entries) {
-        if (!space_->dart().has_window(
-                entry.source.client_id,
-                CodsSpace::window_key(var, version, entry.source_box))) {
-          usable = false;
-          break;
-        }
-      }
-      if (usable) {
-        GetResult result =
-            pull_schedule(it->second, var, version, region, out, elem_size);
-        result.cache_hit = true;
-        span.close(result.model_time);
-        return result;
-      }
-      cache_.erase(it);
-    }
+  if (cache_enabled_ && cache_.contains(key)) {
+    // Concurrent coupling: producers may not have published this version
+    // yet; wait for coverage before pulling through the cached schedule.
+    space_->wait_cont_coverage(var, version, region);
+  }
+  if (auto cached = pull_cached(key, var, version, region, out, elem_size)) {
+    span.close(cached->model_time);
+    return *cached;
   }
 
   const auto entries = space_->wait_cont_coverage(var, version, region);

@@ -68,9 +68,12 @@ struct GetResult {
   double model_time = 0.0;  ///< modelled completion time (query + pull)
   u64 bytes = 0;            ///< payload pulled
   i32 sources = 0;          ///< distinct windows pulled from
-  i32 dht_cores = 0;        ///< DHT cores queried (0 on any cache hit)
+  i32 dht_cores = 0;        ///< DHT cores queried (0 on a cache hit)
   bool cache_hit = false;   ///< communication schedule reused
-  bool lookup_cache_hit = false;  ///< DHT lookup served from the client cache
+  /// Always false: the client has no DHT lookup cache. Kept only because
+  /// the repository benchmark (perfbench/bodies.cpp) still reads it; it
+  /// goes when the benchmark drops `dht.lookup_hit_ratio`.
+  bool lookup_cache_hit = false;
 };
 
 /// The shared space. One instance per workflow run; shared by all
@@ -250,25 +253,18 @@ class CodsSpace {
   CodsDht dht_;
 
   mutable Mutex store_mutex_{"cods.store"};
-  // (storage client, window key) -> object
-  std::map<std::pair<i32, u64>, StoredObject> store_
-      CODS_GUARDED_BY(store_mutex_);
+  // window key -> object. A window key names one (var, version, box), and
+  // the space holds at most one copy of it, on one node; the owning
+  // storage client is storage_client(object.node).
+  std::unordered_map<u64, StoredObject> store_ CODS_GUARDED_BY(store_mutex_);
   /// Running payload total of store_ (kept incrementally so the watermark
   /// check on the put hot path never walks the map).
   u64 stored_total_ CODS_GUARDED_BY(store_mutex_) = 0;
-  // (var, version) -> store keys, in publication order. catalog() and
+  // (var, version) -> window keys, in publication order. catalog() and
   // checkpointing iterate these lists, so insertion order is part of the
-  // observable (deterministic) behavior — membership queries go through
-  // store_by_key_ instead.
-  std::map<std::pair<std::string, i32>, std::vector<std::pair<i32, u64>>>
-      store_index_ CODS_GUARDED_BY(store_mutex_);
-  // window key -> owning storage client, mirroring store_index_'s entries.
-  // The duplicate-put check on the put hot path: a linear scan of the
-  // (var, version) entry list is O(n) per put when one variable gathers a
-  // window per rank, which is quadratic over a 10^6-rank wave. The window
-  // key already hashes (var, version, box), so key equality is the same
-  // predicate the scan evaluated.
-  std::unordered_map<u64, i32> store_by_key_ CODS_GUARDED_BY(store_mutex_);
+  // observable (deterministic) behavior; membership goes through store_.
+  std::map<std::pair<std::string, i32>, std::vector<u64>> store_index_
+      CODS_GUARDED_BY(store_mutex_);
 
   mutable Mutex cont_mutex_{"cods.cont"};
   CondVar cont_cv_;
@@ -300,11 +296,7 @@ class CodsSpace {
 class CodsClient {
  public:
   CodsClient(CodsSpace& space, Endpoint self, i32 app_id)
-      : space_(&space),
-        self_(self),
-        app_id_(app_id),
-        lookup_hit_id_(space.dart().metrics().intern("dht.lookup_hit")),
-        lookup_miss_id_(space.dart().metrics().intern("dht.lookup_miss")) {}
+      : space_(&space), self_(self), app_id_(app_id) {}
 
   const Endpoint& endpoint() const { return self_; }
   i32 app_id() const { return app_id_; }
@@ -333,17 +325,6 @@ class CodsClient {
   void clear_schedule_cache() { cache_.clear(); }
   size_t schedule_cache_size() const { return cache_.size(); }
 
-  /// DHT lookup cache management (docs/PERF.md): caches query results per
-  /// {var, version, region}, validated against the DHT's mutation epoch so
-  /// a put/update/retire/drop_node of the key invalidates the entry. A hit
-  /// skips the query RPCs entirely; hits/misses are surfaced through the
-  /// metrics counters "dht.lookup_hit" / "dht.lookup_miss".
-  void set_lookup_cache_enabled(bool enabled) {
-    lookup_cache_enabled_ = enabled;
-  }
-  void clear_lookup_cache() { lookup_cache_.clear(); }
-  size_t lookup_cache_size() const { return lookup_cache_.size(); }
-
  private:
   struct ScheduleEntry {
     Endpoint source;
@@ -353,30 +334,25 @@ class CodsClient {
   struct Schedule {
     std::vector<ScheduleEntry> entries;
   };
-  struct CachedLookup {
-    LookupResult lookup;
-    u64 epoch = 0;  ///< dht().epoch(var, version) observed before the query
-  };
-
+  /// Schedule-cache fast path shared by get_seq and get_cont: pulls through
+  /// the schedule cached under `key` when every window it names exists for
+  /// `version`; drops a stale entry. Returns nullopt on a miss.
+  std::optional<GetResult> pull_cached(const std::string& key,
+                                       const std::string& var, i32 version,
+                                       const Box& region,
+                                       std::span<std::byte> out,
+                                       u64 elem_size);
   GetResult pull_schedule(const Schedule& schedule, const std::string& var,
                           i32 version, const Box& region,
                           std::span<std::byte> out, u64 elem_size);
   std::string cache_key(const std::string& var, const Box& region,
                         u64 elem_size) const;
 
-  /// Bound on cached lookups; full wipe on overflow (entries are cheap to
-  /// re-query, and version-keyed entries go stale as iterations advance).
-  static constexpr size_t kMaxLookupCacheEntries = 256;
-
   CodsSpace* space_;
   Endpoint self_;
   i32 app_id_;
   bool cache_enabled_ = true;
   std::map<std::string, Schedule> cache_;
-  bool lookup_cache_enabled_ = true;
-  std::map<std::string, CachedLookup> lookup_cache_;
-  Metrics::CounterId lookup_hit_id_;
-  Metrics::CounterId lookup_miss_id_;
 };
 
 }  // namespace cods

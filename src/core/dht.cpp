@@ -65,9 +65,6 @@ i32 CodsDht::insert(const std::string& var, i32 version,
     });
     records.push_back(loc);
   }
-  // Bump *after* the tables changed: a cache that read the old epoch
-  // before this point can never validate a lookup spanning the mutation.
-  bump_epoch(var, version);
   return static_cast<i32>(nodes.size());
 }
 
@@ -111,36 +108,20 @@ i64 CodsDht::retire(const std::string& var, i32 version) {
     removed += static_cast<i64>(it->second.size());
     table->records.erase(it);
   }
-  bump_epoch(var, version);
   return removed;
 }
 
 i64 CodsDht::drop_node_locations(i32 node) {
   i64 removed = 0;
-  std::set<std::pair<std::string, i32>> touched;
   for (auto& table : tables_) {
     MutexLock lock(table->mutex);
     for (auto& [key, records] : table->records) {
-      const auto erased = std::erase_if(
+      removed += static_cast<i64>(std::erase_if(
           records,
-          [&](const DataLocation& r) { return r.owner_loc.node == node; });
-      if (erased > 0) touched.insert(key);
-      removed += static_cast<i64>(erased);
+          [&](const DataLocation& r) { return r.owner_loc.node == node; }));
     }
   }
-  for (const auto& [var, version] : touched) bump_epoch(var, version);
   return removed;
-}
-
-u64 CodsDht::epoch(const std::string& var, i32 version) const {
-  MutexLock lock(epoch_mutex_);
-  const auto it = epochs_.find({var, version});
-  return it == epochs_.end() ? 0 : it->second;
-}
-
-void CodsDht::bump_epoch(const std::string& var, i32 version) {
-  MutexLock lock(epoch_mutex_);
-  ++epochs_[{var, version}];
 }
 
 i64 CodsDht::node_record_count(i32 node) const {

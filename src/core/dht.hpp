@@ -72,15 +72,7 @@ class CodsDht {
   /// Number of records held by one DHT core (for balance diagnostics).
   i64 node_record_count(i32 node) const;
 
-  /// Monotonic mutation epoch of (var, version): bumped after every
-  /// insert() or retire() of the key and after drop_node_locations()
-  /// removes any of its records. A lookup result cached together with the
-  /// epoch observed *before* the query is valid exactly while
-  /// epoch(var, version) still returns that value (docs/PERF.md).
-  u64 epoch(const std::string& var, i32 version) const;
-
  private:
-  void bump_epoch(const std::string& var, i32 version);
   struct NodeTable {
     mutable Mutex mutex{"dht.table"};
     // (var, version) -> records whose region intersects this core's interval
@@ -93,12 +85,6 @@ class CodsDht {
   int granularity_log2_;
   u64 indices_per_node_;
   std::vector<std::unique_ptr<NodeTable>> tables_;
-
-  // Epochs are never erased (a retire must keep invalidating entries
-  // cached before it), only bumped; one u64 per (var, version) ever seen.
-  mutable Mutex epoch_mutex_{"dht.epochs"};
-  std::map<std::pair<std::string, i32>, u64> epochs_
-      CODS_GUARDED_BY(epoch_mutex_);
 };
 
 }  // namespace cods

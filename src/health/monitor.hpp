@@ -19,16 +19,19 @@
 
 namespace cods {
 
+/// Budget of heartbeat rounds one detection pass may sweep before giving
+/// up (bounds the modelled detection time).
+inline constexpr i32 kMaxDetectionRounds = 64;
+
+/// Straggler mitigation: a task is a straggler when its modelled time
+/// exceeds kStragglerMultiplier x the wave median.
+inline constexpr double kStragglerMultiplier = 3.0;
+
 struct HealthConfig {
   DetectorConfig detector;
-  /// Budget of heartbeat rounds one detection pass may sweep before
-  /// giving up (bounds the modelled detection time).
-  i32 max_detection_rounds = 64;
-  /// Straggler mitigation: a task is a straggler when its modelled time
-  /// exceeds `straggler_multiplier` x the wave median. Speculative
-  /// re-execution of stragglers is opt-in — it requires subroutines that
-  /// derive their work purely from ctx.task (no intra-app collectives).
-  double straggler_multiplier = 3.0;
+  /// Speculative re-execution of stragglers is opt-in — it requires
+  /// subroutines that derive their work purely from ctx.task (no
+  /// intra-app collectives).
   bool speculation = false;
   /// CodsSpace byte watermarks (0 = disabled): above `soft_watermark`
   /// every put pays a modelled backpressure delay; above `hard_watermark`

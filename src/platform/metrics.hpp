@@ -62,7 +62,7 @@ class Metrics {
     add_time(app_id, intern(phase), seconds);
   }
 
-  /// Named event counters (e.g. "fault.retries", "dht.lookup_hit"):
+  /// Named event counters (e.g. "fault.retries", "health.stragglers"):
   /// free-form robustness/diagnostic accounting next to the byte ledger.
   void add_count(i32 app_id, CounterId name, u64 n = 1);
   void add_count(i32 app_id, const std::string& name, u64 n = 1) {

@@ -281,7 +281,7 @@ void WorkflowServer::mitigate_stragglers(
   std::sort(sorted.begin(), sorted.end());
   const double median = sorted[sorted.size() / 2];
   if (median <= 0.0) return;
-  const double deadline = options.health.straggler_multiplier * median;
+  const double deadline = kStragglerMultiplier * median;
   for (const auto& [task, time] : task_times) {
     if (time <= deadline) continue;
     ++report.straggler_tasks;

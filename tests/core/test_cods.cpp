@@ -141,6 +141,15 @@ TEST_F(CodsTest, ScheduleCacheDisabled) {
     EXPECT_FALSE(get.cache_hit);
     EXPECT_GT(get.dht_cores, 0);
   }
+  // A repeat read of the same version has no other cache to answer it: it
+  // queries the DHT again and pays the query round trips.
+  const u64 control_before = metrics_.total(TrafficClass::kControl).transfers;
+  std::vector<std::byte> out(box_bytes(box, 8));
+  const GetResult repeat = consumer.get_seq("it", 1, box, out, 8);
+  EXPECT_FALSE(repeat.cache_hit);
+  EXPECT_GT(repeat.dht_cores, 0);
+  EXPECT_GT(metrics_.total(TrafficClass::kControl).transfers, control_before);
+  EXPECT_EQ(verify_pattern(out, box, 8, 3), 0u);
   EXPECT_EQ(consumer.schedule_cache_size(), 0u);
 }
 

@@ -181,43 +181,6 @@ TEST(PooledRuntime, CollectivesAndLockServiceWaitsComplete) {
   EXPECT_GT(stats.escalations, 0);
 }
 
-std::vector<RankFailure> run_failing_ranks(ExecMode mode) {
-  Cluster cluster(ClusterSpec{.num_nodes = 2, .cores_per_node = 32});
-  Metrics metrics;
-  HybridDart dart(cluster, metrics);
-  Runtime runtime(dart);
-  runtime.set_exec_mode(mode);
-  runtime.set_exec_pool_size(4);
-  return runtime.run_collect(grid_placement(cluster, 64), [&](RankCtx& ctx) {
-    if (ctx.global_rank % 7 == 3) {
-      throw std::runtime_error("rank " + std::to_string(ctx.global_rank));
-    }
-  });
-}
-
-TEST(PooledRuntime, FailureOrderingMatchesSimulate) {
-  const auto pooled = run_failing_ranks(ExecMode::kPooled);
-  const auto sim = run_failing_ranks(ExecMode::kSimulate);
-  ASSERT_EQ(pooled.size(), sim.size());
-  ASSERT_FALSE(pooled.empty());
-  for (size_t i = 0; i < pooled.size(); ++i) {
-    EXPECT_EQ(pooled[i].global_rank, sim[i].global_rank);
-    std::string pooled_what;
-    std::string sim_what;
-    try {
-      std::rethrow_exception(pooled[i].error);
-    } catch (const std::exception& e) {
-      pooled_what = e.what();
-    }
-    try {
-      std::rethrow_exception(sim[i].error);
-    } catch (const std::exception& e) {
-      sim_what = e.what();
-    }
-    EXPECT_EQ(pooled_what, sim_what);
-  }
-}
-
 TEST(PooledRuntime, StatsDescribeTheLastDispatch) {
   // run_collect has two dispatches, and the last one owns both stats
   // records: non-blocking ranks stay on the capped pool (never a thread
