@@ -74,11 +74,11 @@ u64 CodsSpace::save_checkpoint(std::ostream& out) const {
     MutexLock lock(store_mutex_);
     for (const auto& [index_key, keys] : store_index_) {
       for (const u64 window_key : keys) {
-        const auto it = store_.find(window_key);
-        if (it == store_.end()) continue;
-        entries.push_back(Entry{index_key.first, index_key.second,
-                                it->second.node, it->second.box,
-                                it->second.data});
+        const u32* slot = store_.find(window_key);
+        if (slot == nullptr) continue;
+        const StoredObject& obj = object(*slot);
+        entries.push_back(Entry{index_key.first, index_key.second, obj.node,
+                                obj.box, obj.data});
       }
     }
   }

@@ -79,9 +79,9 @@ DataLocation CodsSpace::store_object(i32 node, const std::string& var,
   {
     MutexLock lock(store_mutex_);
     auto& index = store_index_[{var, version}];
-    const auto existing = store_.find(key);
-    if (existing != store_.end()) {
-      const i32 owner_node = existing->second.node;
+    if (const u32* existing = store_.find(key)) {
+      const u32 slot = *existing;
+      const i32 owner_node = object(slot).node;
       if (speculation_.load() && !reexec_.load()) {
         // First completion wins: a speculative re-put of an object that
         // already landed keeps the original (wherever it lives). The
@@ -101,8 +101,7 @@ DataLocation CodsSpace::store_object(i32 node, const std::string& var,
       CODS_CHECK(reexec_.load(),
                  "object already stored for this (var, version, box)");
       replaced_client = storage_client(owner_node);
-      stored_total_ -= existing->second.data.size();
-      store_.erase(existing);
+      remove_object(key, slot);
       // The ordered key list is only walked on this (rare) re-execution
       // replacement path; publication order of the survivors is kept.
       std::erase(index, key);
@@ -115,11 +114,10 @@ DataLocation CodsSpace::store_object(i32 node, const std::string& var,
       lock.unlock();
       throw OverloadError(data.size(), held, hard);
     }
-    stored_total_ += data.size();
-    const auto it =
-        store_.emplace(key, StoredObject{node, box, std::move(data)}).first;
+    StoredObject& stored_object =
+        add_object(key, StoredObject{node, box, std::move(data)});
     index.push_back(key);
-    window = std::span(it->second.data);
+    window = std::span(stored_object.data);
   }
   if (replaced_client) dart_.withdraw(*replaced_client, key);
   dart_.expose(client, key, window);
@@ -130,6 +128,38 @@ DataLocation CodsSpace::store_object(i32 node, const std::string& var,
   loc.owner_loc = CoreLoc{node, 0};
   loc.window_key = key;
   return loc;
+}
+
+CodsSpace::StoredObject& CodsSpace::add_object(u64 key, StoredObject obj) {
+  u32 slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    if (object_chunks_.empty() ||
+        object_chunks_.back().size() == kChunkObjects) {
+      object_chunks_.emplace_back();
+    }
+    // Records may move while the last chunk grows; windows point at each
+    // record's payload buffer, which a move keeps in place.
+    object_chunks_.back().emplace_back();
+    slot = static_cast<u32>((object_chunks_.size() - 1) * kChunkObjects +
+                            object_chunks_.back().size() - 1);
+  }
+  CODS_CHECK(store_.insert(key, slot).second,
+             "object already stored for this window key");
+  stored_total_ += obj.data.size();
+  StoredObject& record = object(slot);
+  record = std::move(obj);
+  return record;
+}
+
+void CodsSpace::remove_object(u64 key, u32 slot) {
+  StoredObject& record = object(slot);
+  stored_total_ -= record.data.size();
+  record = StoredObject{};  // frees the payload
+  store_.erase(key);
+  free_slots_.push_back(slot);
 }
 
 void CodsSpace::post_cont(const std::string& var, i32 version, const Box& box,
@@ -210,11 +240,11 @@ void CodsSpace::retire(const std::string& var, i32 version) {
     const auto it = store_index_.find({var, version});
     if (it != store_index_.end()) {
       for (const u64 key : it->second) {
-        const auto obj = store_.find(key);
-        if (obj == store_.end()) continue;
-        dart_.withdraw(storage_client(obj->second.node), key);
-        stored_total_ -= obj->second.data.size();
-        store_.erase(obj);
+        const u32* slot = store_.find(key);
+        if (slot == nullptr) continue;
+        const u32 found = *slot;
+        dart_.withdraw(storage_client(object(found).node), key);
+        remove_object(key, found);
       }
       store_index_.erase(it);
     }
@@ -334,12 +364,13 @@ std::vector<DataLocation> CodsSpace::catalog(const std::string& var,
     const auto it = store_index_.find({var, version});
     if (it != store_index_.end()) {
       for (const u64 key : it->second) {
-        const auto obj = store_.find(key);
-        if (obj == store_.end()) continue;
+        const u32* slot = store_.find(key);
+        if (slot == nullptr) continue;
+        const StoredObject& obj = object(*slot);
         DataLocation loc;
-        loc.box = obj->second.box;
-        loc.owner_client = storage_client(obj->second.node);
-        loc.owner_loc = CoreLoc{obj->second.node, 0};
+        loc.box = obj.box;
+        loc.owner_client = storage_client(obj.node);
+        loc.owner_loc = CoreLoc{obj.node, 0};
         loc.window_key = key;
         out.push_back(loc);
       }
@@ -367,18 +398,17 @@ u64 CodsSpace::drop_node(i32 node) {
   std::vector<std::pair<i32, u64>> windows;  // withdrawn outside the locks
   {
     MutexLock lock(store_mutex_);
-    for (auto it = store_.begin(); it != store_.end();) {
-      if (it->second.node == node) {
-        lost += it->second.data.size();
-        stored_total_ -= it->second.data.size();
-        windows.push_back({storage_client(node), it->first});
-        it = store_.erase(it);
-      } else {
-        ++it;
-      }
-    }
     for (auto& [index_key, keys] : store_index_) {
-      std::erase_if(keys, [&](u64 key) { return !store_.contains(key); });
+      std::erase_if(keys, [&](u64 key) {
+        const u32* found = store_.find(key);
+        if (found == nullptr) return true;
+        const u32 slot = *found;
+        if (object(slot).node != node) return false;
+        lost += object(slot).data.size();
+        windows.push_back({storage_client(node), key});
+        remove_object(key, slot);
+        return true;
+      });
     }
   }
   {
@@ -453,7 +483,7 @@ PutResult CodsClient::put_seq(const std::string& var, i32 version,
   }
   // First completion won: the original object stays authoritative, so the
   // DHT already points at it — re-inserting would duplicate the location.
-  if (stored) space_->dht().insert(var, version, loc);
+  if (stored) space_->dht().insert(var, version, loc, nodes);
   PutResult result;
   result.model_time = time;
   result.bytes = data.size();

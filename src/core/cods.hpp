@@ -21,8 +21,8 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
-#include <unordered_map>
 
+#include "common/flat_table.hpp"
 #include "common/sync.hpp"
 #include "core/dht.hpp"
 #include "core/layout.hpp"
@@ -237,6 +237,11 @@ class CodsSpace {
     Box box;
     std::vector<std::byte> data;
   };
+  struct WindowKeyHash {
+    u64 operator()(u64 key) const { return mix64(key); }
+  };
+  /// Object records per full chunk of the slot store.
+  static constexpr u32 kChunkObjects = 1024;
 
   struct RestoreResult {
     u64 objects = 0;
@@ -252,13 +257,33 @@ class CodsSpace {
   HybridDart dart_;
   CodsDht dht_;
 
+  /// The record in `slot` of the slot store.
+  StoredObject& object(u32 slot) CODS_REQUIRES(store_mutex_) {
+    return object_chunks_[slot / kChunkObjects][slot % kChunkObjects];
+  }
+  const StoredObject& object(u32 slot) const CODS_REQUIRES(store_mutex_) {
+    return object_chunks_[slot / kChunkObjects][slot % kChunkObjects];
+  }
+  /// Files `obj` under `key` in a free slot; returns the record.
+  StoredObject& add_object(u64 key, StoredObject obj)
+      CODS_REQUIRES(store_mutex_);
+  /// Drops the record filed under `key` in `slot` and frees the slot.
+  void remove_object(u64 key, u32 slot) CODS_REQUIRES(store_mutex_);
+
   mutable Mutex store_mutex_{"cods.store"};
-  // window key -> object. A window key names one (var, version, box), and
-  // the space holds at most one copy of it, on one node; the owning
-  // storage client is storage_client(object.node).
-  std::unordered_map<u64, StoredObject> store_ CODS_GUARDED_BY(store_mutex_);
-  /// Running payload total of store_ (kept incrementally so the watermark
-  /// check on the put hot path never walks the map).
+  // The object store: one record per stored object in a slot store, plus
+  // a flat index from window key to slot. Only the last chunk grows, so
+  // growth never holds two copies of the store, and a space that stores
+  // a few objects allocates a few records (a run may hold hundreds of
+  // spaces). A window key names one (var, version, box), and the space
+  // holds at most one copy of it, on one node; the owning storage client
+  // is storage_client(object.node).
+  std::vector<std::vector<StoredObject>> object_chunks_
+      CODS_GUARDED_BY(store_mutex_);
+  std::vector<u32> free_slots_ CODS_GUARDED_BY(store_mutex_);
+  FlatTable<u64, u32, WindowKeyHash> store_ CODS_GUARDED_BY(store_mutex_);
+  /// Running payload total of the store (kept incrementally so the
+  /// watermark check on the put hot path never walks it).
   u64 stored_total_ CODS_GUARDED_BY(store_mutex_) = 0;
   // (var, version) -> window keys, in publication order. catalog() and
   // checkpointing iterate these lists, so insertion order is part of the

@@ -31,18 +31,16 @@ IndexSpan CodsDht::node_interval(i32 node) const {
 }
 
 std::vector<i32> CodsDht::owner_nodes(const Box& query) const {
-  // On the path of every insert and query. Each span covers a contiguous
-  // [first, last] owner range, so sorting the few ranges and emitting the
-  // uncovered suffix of each keeps the output ascending and unique
-  // without funnelling node ids one by one through a std::set.
-  std::vector<std::pair<i32, i32>> ranges;
+  // On the path of every put and query. Each span covers a contiguous
+  // [first, last] owner range; box_spans returns disjoint spans in
+  // ascending order and ownership is monotone in the index, so the ranges
+  // arrive sorted, and emitting the uncovered suffix of each keeps the
+  // output ascending and unique.
+  std::vector<i32> nodes;
   for (const IndexSpan& span :
        box_spans(curve_, query, granularity_log2_)) {
-    ranges.emplace_back(owner_node(span.lo), owner_node(span.hi));
-  }
-  std::sort(ranges.begin(), ranges.end());
-  std::vector<i32> nodes;
-  for (const auto& [first, last] : ranges) {
+    const i32 first = owner_node(span.lo);
+    const i32 last = owner_node(span.hi);
     const i32 start =
         nodes.empty() ? first : std::max(first, nodes.back() + 1);
     for (i32 n = start; n <= last; ++n) nodes.push_back(n);
@@ -53,8 +51,13 @@ std::vector<i32> CodsDht::owner_nodes(const Box& query) const {
 i32 CodsDht::insert(const std::string& var, i32 version,
                     const DataLocation& loc) {
   CODS_REQUIRE(loc.box.valid(), "cannot insert an empty region");
-  const auto nodes = owner_nodes(loc.box);
-  for (i32 node : nodes) {
+  return insert(var, version, loc, owner_nodes(loc.box));
+}
+
+i32 CodsDht::insert(const std::string& var, i32 version,
+                    const DataLocation& loc, std::span<const i32> owners) {
+  CODS_REQUIRE(loc.box.valid(), "cannot insert an empty region");
+  for (i32 node : owners) {
     NodeTable& table = *tables_[static_cast<size_t>(node)];
     MutexLock lock(table.mutex);
     auto& records = table.records[{var, version}];
@@ -65,7 +68,7 @@ i32 CodsDht::insert(const std::string& var, i32 version,
     });
     records.push_back(loc);
   }
-  return static_cast<i32>(nodes.size());
+  return static_cast<i32>(owners.size());
 }
 
 LookupResult CodsDht::query(const std::string& var, i32 version,

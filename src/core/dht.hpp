@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,10 @@ class CodsDht {
   /// Registers a stored region with every DHT core responsible for part of
   /// it. Returns the number of DHT cores updated.
   i32 insert(const std::string& var, i32 version, const DataLocation& loc);
+  /// Same, for a caller that already holds owner_nodes(loc.box) (a put
+  /// routes its registration RPCs by them first).
+  i32 insert(const std::string& var, i32 version, const DataLocation& loc,
+             std::span<const i32> owners);
 
   /// Finds all records of (var, version) intersecting `region`,
   /// deduplicated across DHT cores.

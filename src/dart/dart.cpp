@@ -16,7 +16,7 @@ u64 op_jitter_key(const Endpoint& local, u64 bytes) {
 
 void HybridDart::expose(i32 client_id, u64 key, std::span<std::byte> window) {
   WriterLock lock(mutex_);
-  const auto [it, inserted] = windows_.insert({Key{client_id, key}, window});
+  const bool inserted = windows_.insert(Key{client_id, key}, window).second;
   CODS_CHECK(inserted, "window already exposed for this (client, key)");
 }
 
@@ -31,9 +31,9 @@ std::span<std::byte> HybridDart::window(i32 client_id, u64 key) const {
 }
 
 std::span<std::byte> HybridDart::window_locked(i32 client_id, u64 key) const {
-  const auto it = windows_.find(Key{client_id, key});
-  CODS_CHECK(it != windows_.end(), "window not exposed");
-  return it->second;
+  const std::span<std::byte>* window = windows_.find(Key{client_id, key});
+  CODS_CHECK(window != nullptr, "window not exposed");
+  return *window;
 }
 
 bool HybridDart::has_window(i32 client_id, u64 key) const {

@@ -16,8 +16,8 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <unordered_map>
 
+#include "common/flat_table.hpp"
 #include "common/sync.hpp"
 #include "fault/fault.hpp"
 #include "platform/cost_model.hpp"
@@ -139,9 +139,10 @@ class HybridDart {
     friend bool operator==(const Key&, const Key&) = default;
   };
   struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return std::hash<u64>()(static_cast<u64>(k.client) * 0x9e3779b97f4a7c15ULL ^
-                              k.key);
+    u64 operator()(const Key& k) const {
+      return mix64(static_cast<u64>(static_cast<u32>(k.client)) *
+                       0x9e3779b97f4a7c15ULL ^
+                   k.key);
     }
   };
 
@@ -173,7 +174,7 @@ class HybridDart {
   Metrics::CounterId fault_exhausted_id_;
   Metrics::CounterId fault_backoff_id_;
   mutable SharedMutex mutex_{"dart.windows"};
-  std::unordered_map<Key, std::span<std::byte>, KeyHash> windows_
+  FlatTable<Key, std::span<std::byte>, KeyHash> windows_
       CODS_GUARDED_BY(mutex_);
 };
 

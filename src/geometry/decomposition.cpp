@@ -1,6 +1,7 @@
 #include "geometry/decomposition.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace cods {
 
@@ -159,12 +160,18 @@ u64 Decomposition::owned_cells_in(i32 rank, const Box& region) const {
 
 std::vector<Segment> Decomposition::owned_segments_dim(int d, i32 r, i64 lo,
                                                        i64 hi) const {
+  std::vector<Segment> segments;
+  append_owned_segments(d, r, lo, hi, segments);
+  return segments;
+}
+
+void Decomposition::append_owned_segments(int d, i32 r, i64 lo, i64 hi,
+                                          std::vector<Segment>& out) const {
   const DimSpec& ds = dim(d);
   CODS_REQUIRE(r >= 0 && r < ds.nprocs, "process coordinate out of range");
   lo = std::max<i64>(lo, 0);
   hi = std::min<i64>(hi, ds.extent - 1);
-  std::vector<Segment> segments;
-  if (lo > hi) return segments;
+  if (lo > hi) return;
   const i64 b = effective_block(d);
   const i64 p = ds.nprocs;
   // First block index >= lo/b that is congruent to r (mod p).
@@ -173,9 +180,8 @@ std::vector<Segment> Decomposition::owned_segments_dim(int d, i32 r, i64 lo,
   for (; j * b <= hi; j += p) {
     const i64 s = std::max(lo, j * b);
     const i64 e = std::min(hi, j * b + b - 1);
-    if (s <= e) segments.emplace_back(s, e);
+    if (s <= e) out.emplace_back(s, e);
   }
-  return segments;
 }
 
 std::vector<Box> Decomposition::owned_boxes(i32 rank,
@@ -187,34 +193,48 @@ std::vector<Box> Decomposition::owned_boxes_in(i32 rank, const Box& region,
                                                size_t max_boxes) const {
   CODS_REQUIRE(region.ndim() == ndim(), "region dimensionality mismatch");
   const Point g = rank_to_grid(rank);
-  std::vector<std::vector<Segment>> per_dim(static_cast<size_t>(ndim()));
+  // Every dimension's segments in one reused buffer: dimension d owns
+  // segments[first[d], first[d + 1]). Called per rank on every put and
+  // get (AppCtx::my_boxes), so the only allocation left is the result.
+  static thread_local std::vector<Segment> segments;
+  // An element-cyclic layout of a huge domain can need millions of
+  // segments; do not keep that much memory pinned after such a call.
+  if (segments.capacity() > 4096) segments = {};
+  segments.clear();
+  std::array<size_t, kMaxDims + 1> first{};
   size_t count = 1;
   for (int d = 0; d < ndim(); ++d) {
-    per_dim[static_cast<size_t>(d)] = owned_segments_dim(
-        d, static_cast<i32>(g[d]), region.lb[d], region.ub[d]);
-    count *= per_dim[static_cast<size_t>(d)].size();
+    const auto du = static_cast<size_t>(d);
+    first[du] = segments.size();
+    append_owned_segments(d, static_cast<i32>(g[d]), region.lb[d],
+                          region.ub[d], segments);
+    count *= segments.size() - first[du];
     if (count == 0) return {};
     CODS_CHECK(count <= max_boxes,
                "ownership enumeration exceeds max_boxes; use the analytic "
                "overlap counting path instead");
   }
+  first[static_cast<size_t>(ndim())] = segments.size();
   std::vector<Box> boxes;
   boxes.reserve(count);
-  std::vector<size_t> idx(static_cast<size_t>(ndim()), 0);
+  // Odometer over the per-dimension segments, last dimension fastest.
+  std::array<size_t, kMaxDims> idx{};  // absolute segment indices
+  std::copy_n(first.begin(), kMaxDims, idx.begin());
   for (;;) {
     Box b;
     b.lb = Point::zeros(ndim());
     b.ub = Point::zeros(ndim());
     for (int d = 0; d < ndim(); ++d) {
-      const Segment& s = per_dim[static_cast<size_t>(d)][idx[static_cast<size_t>(d)]];
+      const Segment& s = segments[idx[static_cast<size_t>(d)]];
       b.lb[d] = s.first;
       b.ub[d] = s.second;
     }
     boxes.push_back(b);
     int d = ndim() - 1;
     for (; d >= 0; --d) {
-      if (++idx[static_cast<size_t>(d)] < per_dim[static_cast<size_t>(d)].size()) break;
-      idx[static_cast<size_t>(d)] = 0;
+      const auto du = static_cast<size_t>(d);
+      if (++idx[du] < first[du + 1]) break;
+      idx[du] = first[du];
     }
     if (d < 0) break;
   }

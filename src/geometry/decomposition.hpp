@@ -109,6 +109,9 @@ class Decomposition {
 
  private:
   void validate();
+  /// owned_segments_dim, appended to `out`.
+  void append_owned_segments(int d, i32 r, i64 lo, i64 hi,
+                             std::vector<Segment>& out) const;
 
   std::vector<DimSpec> dims_;
   i32 ntasks_ = 0;

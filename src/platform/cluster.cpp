@@ -77,10 +77,11 @@ i32 Cluster::hops(i32 node_a, i32 node_b) const {
   return total;
 }
 
-std::vector<u64> Cluster::route_links(i32 node_a, i32 node_b) const {
-  // Dimension-order routing, shortest direction per dimension.
-  // Link id encodes (node, dim, direction): node * 6 + dim * 2 + (sign>0).
-  std::vector<u64> links;
+void Cluster::route_links(i32 node_a, i32 node_b,
+                          std::vector<u64>& links) const {
+  // Dimension-order routing, shortest direction per dimension. Link id
+  // encodes (torus position, dim, direction): pos * 6 + dim * 2 + (sign>0).
+  links.clear();
   auto cur = torus_coord(node_a);
   const auto dst = torus_coord(node_b);
   for (int d = 0; d < 3; ++d) {
@@ -99,7 +100,6 @@ std::vector<u64> Cluster::route_links(i32 node_a, i32 node_b) const {
       c = ((c + (forward ? 1 : -1)) % dim + dim) % dim;
     }
   }
-  return links;
 }
 
 std::string Cluster::to_string() const {

@@ -70,9 +70,20 @@ class Cluster {
   i32 hops(i32 node_a, i32 node_b) const;
 
   /// Directed links (dimension-order route) from node_a to node_b; each
-  /// link is identified by (node, dim, direction sign packed as 0/1).
-  /// Used by the contention model to accumulate per-link loads.
-  std::vector<u64> route_links(i32 node_a, i32 node_b) const;
+  /// link is identified by (torus position, dim, direction sign packed as
+  /// 0/1). Used by the contention model to accumulate per-link loads.
+  /// Written into `links` (cleared first) so a hot caller can reuse one
+  /// buffer.
+  void route_links(i32 node_a, i32 node_b, std::vector<u64>& links) const;
+
+  /// Number of distinct link ids: 6 per torus position. The torus volume
+  /// may exceed the node count, and routes pass through positions that
+  /// hold no node, so link ids range over the whole torus.
+  size_t link_count() const {
+    return 6 * static_cast<size_t>(torus_dims_[0]) *
+           static_cast<size_t>(torus_dims_[1]) *
+           static_cast<size_t>(torus_dims_[2]);
+  }
 
   std::string to_string() const;
 

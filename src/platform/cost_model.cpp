@@ -1,8 +1,6 @@
 #include "platform/cost_model.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace cods {
 
@@ -48,6 +46,52 @@ double CostModel::batch_time(const std::vector<Flow>& flows) const {
   return batch_time_with_background(flows, {});
 }
 
+namespace {
+
+/// Per-resource load sums of one batch, indexed by dense resource id (link
+/// id, or node id for NICs and memory buses). Entries are reset through
+/// the list of ids the previous batch touched, so a batch costs no
+/// allocation once the arrays have grown to the largest cluster seen.
+struct LoadTable {
+  std::vector<double> load;
+  std::vector<u8> flags;  ///< kTouched | kPrimary
+  std::vector<u32> touched;
+
+  static constexpr u8 kTouched = 1;
+  static constexpr u8 kPrimary = 2;
+
+  /// Zeroes the previous batch's entries and sizes the table for `n` ids.
+  void reset(size_t n) {
+    for (const u32 id : touched) {
+      load[id] = 0.0;
+      flags[id] = 0;
+    }
+    touched.clear();
+    if (load.size() < n) {
+      load.resize(n, 0.0);
+      flags.resize(n, 0);
+    }
+  }
+
+  void add(size_t id, double bytes, bool primary) {
+    if (flags[id] == 0) touched.push_back(static_cast<u32>(id));
+    flags[id] |= kTouched | (primary ? kPrimary : 0);
+    load[id] += bytes;
+  }
+
+  /// Largest load / bandwidth over the resources a primary flow touches.
+  double bottleneck(double bandwidth) const {
+    double worst = 0.0;
+    for (const u32 id : touched) {
+      if ((flags[id] & kPrimary) == 0) continue;
+      worst = std::max(worst, load[id] / bandwidth);
+    }
+    return worst;
+  }
+};
+
+}  // namespace
+
 double CostModel::batch_time_with_background(
     const std::vector<Flow>& primary, const std::vector<Flow>& background) const {
   if (primary.empty()) return 0.0;
@@ -55,75 +99,56 @@ double CostModel::batch_time_with_background(
   // resources the primary flows touch: only those bound the result.
   //
   // This runs once per pull batch on the simulate hot path (10^5+ calls
-  // per enacted wave), so the scratch containers are thread-local —
-  // cleared, never freed — and each flow's route is walked exactly once:
-  // a dimension-order route visits each link at most once, so folding
-  // the primary-membership insert and the load sum into one walk leaves
-  // every per-link sum accumulating in the same flow order as two
-  // separate passes would. route_links().size() is the hop count by
-  // construction (shortest steps per dimension).
-  static thread_local std::unordered_set<u64> primary_links;
-  static thread_local std::unordered_set<i32> primary_nics;
-  static thread_local std::unordered_set<i32> primary_shm;
-  static thread_local std::unordered_map<u64, double> link_load;  // links
-  static thread_local std::unordered_map<i32, double> nic_load;   // per-node
-  static thread_local std::unordered_map<i32, double> shm_load;   // mem bus
-  primary_links.clear();
-  primary_nics.clear();
-  primary_shm.clear();
-  link_load.clear();
-  nic_load.clear();
-  shm_load.clear();
+  // per enacted wave), so the scratch is thread-local and dense: one
+  // array per resource kind, indexed by link or node id. Link ids name
+  // torus positions, which may outnumber the nodes, so the link array
+  // spans the whole torus. Each resource's load is summed in flow order
+  // (primary flows, then background), and a max over the sums does not
+  // depend on the order it visits them, so the result is bit-identical
+  // to any other evaluation that sums per resource in flow order.
+  // route.size() is the hop count by construction (shortest steps per
+  // dimension).
+  static thread_local LoadTable links;
+  static thread_local LoadTable nics;
+  static thread_local LoadTable shm;
+  static thread_local std::vector<u64> route;
+  links.reset(cluster_->link_count());
+  nics.reset(static_cast<size_t>(cluster_->num_nodes()));
+  shm.reset(static_cast<size_t>(cluster_->num_nodes()));
   i32 max_hops = 0;
-  for (const Flow& f : primary) {
-    if (f.bytes == 0) continue;
-    const double bytes = static_cast<double>(f.bytes);
-    if (f.src.node == f.dst.node) {
-      primary_shm.insert(f.src.node);
-      shm_load[f.src.node] += bytes;
-      continue;
+  bool primary_net = false;
+  bool primary_shm = false;
+  const auto add_flows = [&](const std::vector<Flow>& flows, bool is_primary) {
+    for (const Flow& f : flows) {
+      if (f.bytes == 0) continue;
+      const double bytes = static_cast<double>(f.bytes);
+      if (f.src.node == f.dst.node) {
+        primary_shm |= is_primary;
+        shm.add(static_cast<size_t>(f.src.node), bytes, is_primary);
+        continue;
+      }
+      primary_net |= is_primary;
+      nics.add(static_cast<size_t>(f.src.node), bytes, is_primary);
+      nics.add(static_cast<size_t>(f.dst.node), bytes, is_primary);
+      cluster_->route_links(f.src.node, f.dst.node, route);
+      if (is_primary) {
+        max_hops = std::max(max_hops, static_cast<i32>(route.size()));
+      }
+      for (const u64 link : route) {
+        links.add(static_cast<size_t>(link), bytes, is_primary);
+      }
     }
-    primary_nics.insert(f.src.node);
-    primary_nics.insert(f.dst.node);
-    nic_load[f.src.node] += bytes;
-    nic_load[f.dst.node] += bytes;
-    const auto route = cluster_->route_links(f.src.node, f.dst.node);
-    max_hops = std::max(max_hops, static_cast<i32>(route.size()));
-    for (u64 link : route) {
-      primary_links.insert(link);
-      link_load[link] += bytes;
-    }
-  }
-  for (const Flow& f : background) {
-    if (f.bytes == 0) continue;
-    const double bytes = static_cast<double>(f.bytes);
-    if (f.src.node == f.dst.node) {
-      shm_load[f.src.node] += bytes;
-      continue;
-    }
-    nic_load[f.src.node] += bytes;
-    nic_load[f.dst.node] += bytes;
-    for (u64 link : cluster_->route_links(f.src.node, f.dst.node)) {
-      link_load[link] += bytes;
-    }
-  }
-  double bottleneck = 0.0;
-  for (const auto& [link, load] : link_load) {
-    if (!primary_links.contains(link)) continue;
-    bottleneck = std::max(bottleneck, load / params_.link_bw);
-  }
-  for (const auto& [node, load] : nic_load) {
-    if (!primary_nics.contains(node)) continue;
-    bottleneck = std::max(bottleneck, load / params_.nic_bw);
-  }
-  for (const auto& [node, load] : shm_load) {
-    if (!primary_shm.contains(node)) continue;
-    bottleneck = std::max(bottleneck, load / params_.shm_bw);
-  }
+  };
+  add_flows(primary, /*is_primary=*/true);
+  add_flows(background, /*is_primary=*/false);
+  const double bottleneck =
+      std::max({links.bottleneck(params_.link_bw),
+                nics.bottleneck(params_.nic_bw),
+                shm.bottleneck(params_.shm_bw)});
   double latency = 0.0;
-  if (!primary_nics.empty()) {
+  if (primary_net) {
     latency = params_.net_latency + max_hops * params_.hop_latency;
-  } else if (!primary_shm.empty()) {
+  } else if (primary_shm) {
     latency = params_.shm_latency;
   }
   return bottleneck + latency;

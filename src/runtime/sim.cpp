@@ -20,6 +20,7 @@
 
 #include "common/blocking.hpp"
 #include "common/error.hpp"
+#include "common/flat_table.hpp"
 #include "common/sync.hpp"
 #include "health/task_clock.hpp"
 #include "runtime/calendar_queue.hpp"
@@ -211,96 +212,18 @@ struct WaitList {
   i32 tail = -1;
 };
 
-/// Open-addressing pointer-keyed map of wait channels -> waiter lists.
-/// Replaces std::map: waiter registration is once per block/unblock, the
-/// hottest path of a communication-bound enactment, and the table reuses
-/// its slots instead of allocating a node per churn.
-class WaitTable {
- public:
-  WaitTable() : slots_(kInitialSlots) {}
-
-  /// Finds or creates the list for `key`. The reference is invalidated
-  /// by any later insertion (the table may rehash).
-  WaitList& find_or_insert(const void* key) {
-    if ((count_ + 1) * 4 > slots_.size() * 3) grow();
-    const std::size_t i = probe(key);
-    if (slots_[i].key == nullptr) {
-      slots_[i].key = key;
-      slots_[i].list = WaitList{};
-      ++count_;
-    }
-    return slots_[i].list;
+/// Pointer hash of a wait channel.
+struct ChannelHash {
+  u64 operator()(const void* p) const {
+    return mix64(static_cast<u64>(reinterpret_cast<std::uintptr_t>(p)));
   }
-
-  WaitList* find(const void* key) {
-    const std::size_t i = probe(key);
-    return slots_[i].key == nullptr ? nullptr : &slots_[i].list;
-  }
-
-  void erase(const void* key) {
-    std::size_t i = probe(key);
-    if (slots_[i].key == nullptr) return;
-    // Linear-probe backshift deletion: close the hole by moving forward
-    // any entry whose home slot is not cyclically within (hole, entry].
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t j = i;
-    for (;;) {
-      j = (j + 1) & mask;
-      if (slots_[j].key == nullptr) break;
-      const std::size_t k = hash(slots_[j].key) & mask;
-      const bool movable = (j > i) ? (k <= i || k > j) : (k <= i && k > j);
-      if (movable) {
-        slots_[i] = slots_[j];
-        i = j;
-      }
-    }
-    slots_[i] = TableEntry{};
-    --count_;
-  }
-
-  void clear() {
-    slots_.assign(slots_.size(), TableEntry{});
-    count_ = 0;
-  }
-
- private:
-  struct TableEntry {
-    const void* key = nullptr;
-    WaitList list;
-  };
-  static constexpr std::size_t kInitialSlots = 256;  // power of two
-
-  std::size_t probe(const void* key) const {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash(key) & mask;
-    while (slots_[i].key != nullptr && slots_[i].key != key) {
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-
-  static std::size_t hash(const void* p) {
-    u64 x = static_cast<u64>(reinterpret_cast<std::uintptr_t>(p));
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
-  }
-
-  void grow() {
-    std::vector<TableEntry> old = std::move(slots_);
-    slots_.assign(old.size() * 2, TableEntry{});
-    for (const TableEntry& s : old) {
-      if (s.key == nullptr) continue;
-      slots_[probe(s.key)] = s;
-    }
-  }
-
-  std::vector<TableEntry> slots_;
-  std::size_t count_ = 0;
 };
+
+/// Wait channels -> waiter lists. Waiter registration is once per
+/// block/unblock, the hottest path of a communication-bound enactment, and
+/// the flat table reuses its slots instead of allocating a node per churn.
+/// A list reference is invalidated by any later insertion.
+using WaitTable = FlatTable<const void*, WaitList, ChannelHash>;
 
 /// Pending virtual deadline (lazy deletion: a notify leaves the entry
 /// behind; validity is re-derived from the fiber when popped).
@@ -596,7 +519,7 @@ struct Impl : blocking::SimHook {
                "not live on a fiber's stack)");
     const i32 index = index_of(f);
     f.next_waiter = -1;
-    WaitList& list = table.find_or_insert(key);
+    WaitList& list = *table.insert(key).first;
     if (list.tail < 0) {
       list.head = index;
     } else {
@@ -842,8 +765,8 @@ struct Impl : blocking::SimHook {
   std::size_t sched_stack_size_ = 0;
   Fiber* cur_ = nullptr;
   CalendarQueue ready_;
-  WaitTable cv_waiters_;
-  WaitTable mutex_waiters_;
+  WaitTable cv_waiters_{256};
+  WaitTable mutex_waiters_{256};
   /// Lazy-deletion binary heap of virtual deadlines; timed_live_ counts
   /// the non-stale entries (the scheduler's quiescence test).
   std::vector<TimedEntry> timed_;

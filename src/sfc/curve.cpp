@@ -169,16 +169,17 @@ std::vector<IndexSpan> box_spans(const SfcCurve& curve, const Box& query,
   auto& spans = collector.spans;
   std::sort(spans.begin(), spans.end(),
             [](const IndexSpan& a, const IndexSpan& b) { return a.lo < b.lo; });
-  // Merge adjacent/overlapping spans.
-  std::vector<IndexSpan> merged;
+  // Merge adjacent/overlapping spans, in place.
+  size_t merged = 0;
   for (const IndexSpan& s : spans) {
-    if (!merged.empty() && s.lo <= merged.back().hi + 1) {
-      merged.back().hi = std::max(merged.back().hi, s.hi);
+    if (merged > 0 && s.lo <= spans[merged - 1].hi + 1) {
+      spans[merged - 1].hi = std::max(spans[merged - 1].hi, s.hi);
     } else {
-      merged.push_back(s);
+      spans[merged++] = s;
     }
   }
-  return merged;
+  spans.resize(merged);
+  return std::move(spans);
 }
 
 u64 span_cells(const std::vector<IndexSpan>& spans) {

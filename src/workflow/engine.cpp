@@ -229,6 +229,8 @@ std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
   // Deterministic task order defines global ranks.
   std::vector<TaskId> tasks;
   std::vector<CoreLoc> cores;
+  tasks.reserve(placement.size());
+  cores.reserve(placement.size());
   for (const auto& [task, loc] : placement.all()) {
     tasks.push_back(task);
     cores.push_back(loc);

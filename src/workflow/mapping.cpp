@@ -18,32 +18,89 @@ std::string to_string(MappingStrategy strategy) {
 
 void Placement::assign(const TaskId& task, const CoreLoc& loc) {
   CODS_REQUIRE(loc.valid(), "invalid core location");
-  const auto [it, inserted] = assign_.insert({task, loc});
-  CODS_REQUIRE(inserted, "task already placed");
+  CODS_REQUIRE(task.rank >= 0, "task rank must be non-negative");
+  auto it = std::lower_bound(
+      apps_.begin(), apps_.end(), task.app_id,
+      [](const AppSlots& a, i32 app_id) { return a.app_id < app_id; });
+  if (it == apps_.end() || it->app_id != task.app_id) {
+    it = apps_.insert(it, AppSlots{task.app_id, {}});
+  }
+  auto& by_rank = it->by_rank;
+  const auto rank = static_cast<size_t>(task.rank);
+  if (rank >= by_rank.size()) by_rank.resize(rank + 1);
+  CODS_REQUIRE(!by_rank[rank].valid(), "task already placed");
+  by_rank[rank] = loc;
+  ++size_;
+}
+
+const CoreLoc* Placement::find(const TaskId& task) const {
+  const auto it = std::lower_bound(
+      apps_.begin(), apps_.end(), task.app_id,
+      [](const AppSlots& a, i32 app_id) { return a.app_id < app_id; });
+  if (it == apps_.end() || it->app_id != task.app_id || task.rank < 0 ||
+      static_cast<size_t>(task.rank) >= it->by_rank.size()) {
+    return nullptr;
+  }
+  const CoreLoc& loc = it->by_rank[static_cast<size_t>(task.rank)];
+  return loc.valid() ? &loc : nullptr;
 }
 
 const CoreLoc& Placement::loc(const TaskId& task) const {
-  const auto it = assign_.find(task);
-  CODS_CHECK(it != assign_.end(), "task not placed");
-  return it->second;
+  const CoreLoc* loc = find(task);
+  CODS_CHECK(loc != nullptr, "task not placed");
+  return *loc;
 }
 
-bool Placement::has(const TaskId& task) const {
-  return assign_.contains(task);
+bool Placement::has(const TaskId& task) const { return find(task) != nullptr; }
+
+Placement::const_iterator::const_iterator(const Placement* placement,
+                                          size_t app, size_t rank)
+    : placement_(placement), app_(app), rank_(rank) {
+  skip_unplaced();
+}
+
+void Placement::const_iterator::skip_unplaced() {
+  const auto& apps = placement_->apps_;
+  while (app_ < apps.size()) {
+    const auto& by_rank = apps[app_].by_rank;
+    while (rank_ < by_rank.size() && !by_rank[rank_].valid()) ++rank_;
+    if (rank_ < by_rank.size()) return;
+    ++app_;
+    rank_ = 0;
+  }
+}
+
+Placement::const_iterator::value_type Placement::const_iterator::operator*()
+    const {
+  const AppSlots& app = placement_->apps_[app_];
+  return {TaskId{app.app_id, static_cast<i32>(rank_)}, app.by_rank[rank_]};
+}
+
+Placement::const_iterator& Placement::const_iterator::operator++() {
+  ++rank_;
+  skip_unplaced();
+  return *this;
+}
+
+bool operator==(const Placement& a, const Placement& b) {
+  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
 std::map<i32, i32> Placement::node_occupancy() const {
   std::map<i32, i32> occupancy;
-  for (const auto& [task, loc] : assign_) ++occupancy[loc.node];
+  for (const auto& [task, loc] : *this) ++occupancy[loc.node];
   return occupancy;
 }
 
 bool Placement::valid(const Cluster& cluster) const {
-  std::set<std::pair<i32, i32>> cores;
-  for (const auto& [task, loc] : assign_) {
+  const i32 cores = cluster.cores_per_node();
+  std::vector<bool> taken(static_cast<size_t>(cluster.total_cores()));
+  for (const auto& [task, loc] : *this) {
     if (loc.node < 0 || loc.node >= cluster.num_nodes()) return false;
-    if (loc.core < 0 || loc.core >= cluster.cores_per_node()) return false;
-    if (!cores.insert({loc.node, loc.core}).second) return false;
+    if (loc.core < 0 || loc.core >= cores) return false;
+    const auto core = static_cast<size_t>(loc.node * cores + loc.core);
+    if (taken[core]) return false;
+    taken[core] = true;
   }
   return true;
 }

@@ -16,7 +16,10 @@
 //                        placement), subject to per-node core capacity.
 #pragma once
 
+#include <iterator>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "partition/partitioner.hpp"
 #include "platform/cluster.hpp"
@@ -30,14 +33,51 @@ enum class MappingStrategy { kRoundRobin, kDataCentric };
 
 std::string to_string(MappingStrategy strategy);
 
-/// Task -> core assignment for one scheduling wave.
+/// Task -> core assignment for one scheduling wave: per app (ascending
+/// app id), a vector of core locations indexed by task rank, so lookups
+/// are O(1) in the rank and the per-task bookkeeping allocates nothing.
+/// Iteration visits the placed tasks in (app_id, rank) order.
 class Placement {
  public:
   void assign(const TaskId& task, const CoreLoc& loc);
   const CoreLoc& loc(const TaskId& task) const;
   bool has(const TaskId& task) const;
-  size_t size() const { return assign_.size(); }
-  const std::map<TaskId, CoreLoc>& all() const { return assign_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// Forward iteration over (task, loc) pairs in (app_id, rank) order.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::pair<TaskId, CoreLoc>;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = value_type;
+
+    const_iterator() = default;
+    value_type operator*() const;
+    const_iterator& operator++();
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++*this;
+      return old;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.app_ == b.app_ && a.rank_ == b.rank_;
+    }
+
+   private:
+    friend class Placement;
+    const_iterator(const Placement* placement, size_t app, size_t rank);
+    void skip_unplaced();
+    const Placement* placement_ = nullptr;
+    size_t app_ = 0;
+    size_t rank_ = 0;
+  };
+  const_iterator begin() const { return const_iterator(this, 0, 0); }
+  const_iterator end() const { return const_iterator(this, apps_.size(), 0); }
+  /// The placement itself, as a range of (task, loc) pairs.
+  const Placement& all() const { return *this; }
 
   /// Tasks per node (capacity accounting).
   std::map<i32, i32> node_occupancy() const;
@@ -45,8 +85,18 @@ class Placement {
   /// True iff no core hosts two tasks and every node is within capacity.
   bool valid(const Cluster& cluster) const;
 
+  /// Same tasks on the same cores.
+  friend bool operator==(const Placement& a, const Placement& b);
+
  private:
-  std::map<TaskId, CoreLoc> assign_;
+  struct AppSlots {
+    i32 app_id = 0;
+    std::vector<CoreLoc> by_rank;  ///< CoreLoc{} (invalid) = unplaced
+  };
+  const CoreLoc* find(const TaskId& task) const;
+
+  std::vector<AppSlots> apps_;  ///< ascending app_id
+  size_t size_ = 0;
 };
 
 /// Baseline: tasks of each app placed on consecutive cores starting at

@@ -249,6 +249,51 @@ TEST_F(CodsTest, RetireFreesMemoryAndRecords) {
   EXPECT_THROW(consumer.get_seq("v", 0, box, out, 8), Error);
 }
 
+TEST_F(CodsTest, StoreSpansChunksAndReusesFreedSlots) {
+  // 16x16 single cells per version: 256 objects a version, so eleven
+  // versions span several slot-store chunks. Retiring and dropping free
+  // slots mid-store, and later puts reuse them; every surviving object
+  // must still read back through its window.
+  auto put_version = [&](i32 version) {
+    for (i64 y = 0; y < 16; ++y) {
+      for (i64 x = 0; x < 16; ++x) {
+        const Box cell{{y, x}, {y, x}};
+        CodsClient producer =
+            client(static_cast<i32>((y + x) % 4), 0, 1);
+        producer.put_seq("f", version, cell,
+                         pattern_data(cell, 100 + static_cast<u64>(version)),
+                         8);
+      }
+    }
+  };
+  for (i32 v = 0; v < 11; ++v) put_version(v);
+  EXPECT_EQ(space_.stored_bytes(), 11u * 256u * 8u);
+  space_.retire("f", 3);
+  space_.retire("f", 7);
+  const u64 lost = space_.drop_node(2);
+  EXPECT_EQ(lost, 9u * 64u * 8u);  // a quarter of each live version
+  EXPECT_EQ(space_.stored_bytes(), 9u * 192u * 8u);
+  put_version(11);
+  put_version(12);
+  EXPECT_EQ(space_.stored_bytes(), 9u * 192u * 8u + 2u * 256u * 8u);
+  const Box whole{{0, 0}, {15, 15}};
+  CodsClient consumer = client(3, 3, 2);
+  for (i32 v : {11, 12}) {
+    std::vector<std::byte> out(box_bytes(whole, 8));
+    consumer.get_seq("f", v, whole, out, 8);
+    EXPECT_EQ(verify_pattern(out, whole, 8, 100 + static_cast<u64>(v)), 0u)
+        << "version " << v;
+  }
+  for (i32 v : {0, 5, 10}) {
+    EXPECT_EQ(space_.catalog("f", v).size(), 192u) << "version " << v;
+    const Box cell{{0, 1}, {0, 1}};  // (0 + 1) % 4 = node 1: survived
+    std::vector<std::byte> out(box_bytes(cell, 8));
+    consumer.get_seq("f", v, cell, out, 8);
+    EXPECT_EQ(verify_pattern(out, cell, 8, 100 + static_cast<u64>(v)), 0u);
+  }
+  EXPECT_TRUE(space_.catalog("f", 3).empty());
+}
+
 TEST_F(CodsTest, WindowKeyDeterministicAndDiscriminating) {
   const Box a{{0, 0}, {3, 3}};
   const Box b{{0, 0}, {3, 4}};

@@ -156,6 +156,69 @@ TEST(Decomposition, OwnedBoxesPartitionDomain) {
   }
 }
 
+/// owned_boxes_in spelled out: the Cartesian product of owned_segments_dim,
+/// last dimension fastest.
+std::vector<Box> product_of_segments(const Decomposition& dec, i32 rank,
+                                     const Box& region) {
+  const Point g = dec.rank_to_grid(rank);
+  std::vector<Box> boxes(1);
+  boxes[0].lb = Point::zeros(dec.ndim());
+  boxes[0].ub = Point::zeros(dec.ndim());
+  for (int d = 0; d < dec.ndim(); ++d) {
+    std::vector<Box> next;
+    for (const Box& prefix : boxes) {
+      for (const Segment& s : dec.owned_segments_dim(
+               d, static_cast<i32>(g[d]), region.lb[d], region.ub[d])) {
+        Box b = prefix;
+        b.lb[d] = s.first;
+        b.ub[d] = s.second;
+        next.push_back(b);
+      }
+    }
+    boxes = std::move(next);
+  }
+  return boxes;
+}
+
+TEST(Decomposition, OwnedBoxesInIsOrderedSegmentProduct) {
+  // Same boxes, same order, for 1-3 dimensions, every distribution, and
+  // regions that clip, miss or exceed the domain; calls alternate between
+  // shapes so a reused scratch buffer cannot leak one call into the next.
+  const std::vector<Decomposition> decs = {
+      Decomposition({23}, {4}, Dist::kCyclic),
+      Decomposition({12, 10}, {3, 2}, Dist::kBlockCyclic, 2),
+      Decomposition({16, 9}, {4, 3}, Dist::kBlocked),
+      Decomposition({10, 9, 8}, {2, 3, 2}, Dist::kBlockCyclic, 3),
+      Decomposition({7, 11, 5}, {3, 2, 2}, Dist::kCyclic),
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (const Decomposition& dec : decs) {
+      const Box domain = dec.domain_box();
+      Box clipped = domain;
+      Box wide = domain;
+      for (int d = 0; d < dec.ndim(); ++d) {
+        clipped.lb[d] = 1 + round;
+        clipped.ub[d] = std::max<i64>(clipped.lb[d], domain.ub[d] - 2);
+        wide.lb[d] = -3;
+        wide.ub[d] = domain.ub[d] + 5;
+      }
+      Box corner = domain;
+      for (int d = 0; d < dec.ndim(); ++d) corner.ub[d] = 0;
+      for (const Box& region : {domain, clipped, wide, corner}) {
+        for (i32 rank = 0; rank < dec.ntasks(); ++rank) {
+          EXPECT_EQ(dec.owned_boxes_in(rank, region),
+                    product_of_segments(dec, rank, region))
+              << dec.to_string() << " rank " << rank << " region "
+              << region.to_string();
+        }
+      }
+    }
+  }
+  const Decomposition cyclic({64, 64}, {2, 2}, Dist::kCyclic);
+  EXPECT_THROW(cyclic.owned_boxes(0, /*max_boxes=*/100), Error);
+  EXPECT_EQ(cyclic.owned_boxes(0).size(), 32u * 32u);
+}
+
 TEST(Decomposition, OwnedCellsInRegion) {
   Decomposition dec({16, 16}, {4, 4}, Dist::kBlocked);
   // Rank 0 owns [0..3]x[0..3].

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <random>
+#include <unordered_map>
+#include <unordered_set>
+
 #include "common/types.hpp"
 #include "platform/cost_model.hpp"
 
@@ -89,6 +95,206 @@ TEST_F(CostModelTest, RpcRoundTripScalesWithCount) {
 
 TEST_F(CostModelTest, IntraNodeRpcCheaperThanRemote) {
   EXPECT_LT(model_.rpc_time({0, 0}, {0, 1}), model_.rpc_time({0, 0}, {3, 0}));
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the hash-map evaluation of batch_time_with_background that the
+// dense, allocation-free one replaced. Each resource's load is summed in
+// flow order (primary, then background) and the bottleneck is the max over
+// the resources a primary flow touches; the production code must agree
+// bit for bit.
+// ---------------------------------------------------------------------------
+
+double reference_batch_time(const Cluster& cluster, const CostParams& params,
+                            const std::vector<Flow>& primary,
+                            const std::vector<Flow>& background) {
+  if (primary.empty()) return 0.0;
+  std::unordered_set<u64> primary_links;
+  std::unordered_set<i32> primary_nics;
+  std::unordered_set<i32> primary_shm;
+  std::unordered_map<u64, double> link_load;
+  std::unordered_map<i32, double> nic_load;
+  std::unordered_map<i32, double> shm_load;
+  i32 max_hops = 0;
+  for (const Flow& f : primary) {
+    if (f.bytes == 0) continue;
+    const double bytes = static_cast<double>(f.bytes);
+    if (f.src.node == f.dst.node) {
+      primary_shm.insert(f.src.node);
+      shm_load[f.src.node] += bytes;
+      continue;
+    }
+    primary_nics.insert(f.src.node);
+    primary_nics.insert(f.dst.node);
+    nic_load[f.src.node] += bytes;
+    nic_load[f.dst.node] += bytes;
+    std::vector<u64> route;
+    cluster.route_links(f.src.node, f.dst.node, route);
+    max_hops = std::max(max_hops, static_cast<i32>(route.size()));
+    for (u64 link : route) {
+      primary_links.insert(link);
+      link_load[link] += bytes;
+    }
+  }
+  for (const Flow& f : background) {
+    if (f.bytes == 0) continue;
+    const double bytes = static_cast<double>(f.bytes);
+    if (f.src.node == f.dst.node) {
+      shm_load[f.src.node] += bytes;
+      continue;
+    }
+    nic_load[f.src.node] += bytes;
+    nic_load[f.dst.node] += bytes;
+    std::vector<u64> route;
+    cluster.route_links(f.src.node, f.dst.node, route);
+    for (u64 link : route) link_load[link] += bytes;
+  }
+  double bottleneck = 0.0;
+  for (const auto& [link, load] : link_load) {
+    if (!primary_links.contains(link)) continue;
+    bottleneck = std::max(bottleneck, load / params.link_bw);
+  }
+  for (const auto& [node, load] : nic_load) {
+    if (!primary_nics.contains(node)) continue;
+    bottleneck = std::max(bottleneck, load / params.nic_bw);
+  }
+  for (const auto& [node, load] : shm_load) {
+    if (!primary_shm.contains(node)) continue;
+    bottleneck = std::max(bottleneck, load / params.shm_bw);
+  }
+  double latency = 0.0;
+  if (!primary_nics.empty()) {
+    latency = params.net_latency + max_hops * params.hop_latency;
+  } else if (!primary_shm.empty()) {
+    latency = params.shm_latency;
+  }
+  return bottleneck + latency;
+}
+
+/// Random flows over the cluster: `shm_share` of them intra-node, one in
+/// `zero_every` zero-byte, sizes spread over six decades so sums round.
+std::vector<Flow> random_flows(std::mt19937_64& rng, const Cluster& cluster,
+                               size_t count, double shm_share,
+                               int zero_every) {
+  std::uniform_int_distribution<i32> node(0, cluster.num_nodes() - 1);
+  std::uniform_int_distribution<i32> core(0, cluster.cores_per_node() - 1);
+  std::uniform_int_distribution<u64> bytes(1, 1'000'000);
+  std::uniform_int_distribution<int> scale(0, 5);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<Flow> flows;
+  for (size_t i = 0; i < count; ++i) {
+    Flow f;
+    f.src = CoreLoc{node(rng), core(rng)};
+    f.dst = unit(rng) < shm_share ? CoreLoc{f.src.node, core(rng)}
+                                  : CoreLoc{node(rng), core(rng)};
+    f.bytes = bytes(rng);
+    for (int k = scale(rng); k > 0; --k) f.bytes /= 10;
+    if (zero_every > 0 && static_cast<int>(i) % zero_every == 0) f.bytes = 0;
+    flows.push_back(f);
+  }
+  return flows;
+}
+
+/// Runs the production model and the oracle on one batch and compares
+/// the bit patterns of the results.
+void expect_matches_oracle(const Cluster& cluster,
+                           const std::vector<Flow>& primary,
+                           const std::vector<Flow>& background) {
+  const CostModel model(cluster);
+  const double got = model.batch_time_with_background(primary, background);
+  const double want =
+      reference_batch_time(cluster, model.params(), primary, background);
+  EXPECT_EQ(std::bit_cast<u64>(got), std::bit_cast<u64>(want))
+      << cluster.to_string() << ": " << got << " vs " << want << " ("
+      << primary.size() << " primary, " << background.size()
+      << " background flows)";
+}
+
+TEST(CostModelOracle, TorusLargerThanNodeCount) {
+  // 10 nodes on a 3x3x2 torus: routes cross torus positions 10..17, which
+  // hold no node, so link ids reach past 6 x num_nodes.
+  const Cluster cluster(ClusterSpec{
+      .num_nodes = 10, .cores_per_node = 4, .torus = {3, 3, 2}});
+  ASSERT_EQ(cluster.link_count(), 6u * 18u);
+  u64 max_link = 0;
+  std::vector<u64> route;
+  for (i32 a = 0; a < cluster.num_nodes(); ++a) {
+    for (i32 b = 0; b < cluster.num_nodes(); ++b) {
+      cluster.route_links(a, b, route);
+      for (u64 link : route) max_link = std::max(max_link, link);
+    }
+  }
+  ASSERT_GE(max_link, 6u * 10u) << "no route crosses an empty position";
+  ASSERT_LT(max_link, cluster.link_count());
+  std::mt19937_64 rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    expect_matches_oracle(cluster, random_flows(rng, cluster, 1 + trial % 40,
+                                                0.2, 0),
+                          random_flows(rng, cluster, trial % 7, 0.2, 0));
+  }
+}
+
+TEST(CostModelOracle, ResourcesOnlyBackgroundTouches) {
+  // Primary traffic stays on nodes 0-1; the background loads other NICs,
+  // links and memory buses, plus the primary's own: only the latter may
+  // bound the batch.
+  const Cluster cluster(ClusterSpec{.num_nodes = 8, .cores_per_node = 4});
+  const std::vector<Flow> primary = {{{0, 0}, {1, 0}, 4096},
+                                     {{1, 1}, {1, 2}, 100}};
+  const std::vector<Flow> background = {{{2, 0}, {7, 1}, 1u << 30},
+                                        {{5, 0}, {5, 3}, 1u << 30},
+                                        {{6, 0}, {3, 0}, 1u << 29},
+                                        {{0, 2}, {1, 3}, 2048}};
+  expect_matches_oracle(cluster, primary, background);
+  expect_matches_oracle(cluster, {{{4, 0}, {4, 1}, 64}}, background);
+  std::mt19937_64 rng(12);
+  for (int trial = 0; trial < 200; ++trial) {
+    expect_matches_oracle(cluster, random_flows(rng, cluster, 3, 0.3, 0),
+                          random_flows(rng, cluster, 30, 0.3, 0));
+  }
+}
+
+TEST(CostModelOracle, ZeroByteFlows) {
+  const Cluster cluster(ClusterSpec{.num_nodes = 6, .cores_per_node = 2});
+  // All-zero primaries price to zero even against a loaded background.
+  expect_matches_oracle(cluster, {{{0, 0}, {3, 0}, 0}, {{2, 0}, {2, 1}, 0}},
+                        {{{0, 0}, {3, 0}, 1u << 20}});
+  std::mt19937_64 rng(13);
+  for (int trial = 0; trial < 200; ++trial) {
+    expect_matches_oracle(cluster, random_flows(rng, cluster, 12, 0.25, 3),
+                          random_flows(rng, cluster, 6, 0.25, 2));
+  }
+}
+
+TEST(CostModelOracle, MixedSharedMemoryAndNetwork) {
+  const Cluster cluster(ClusterSpec{.num_nodes = 27, .cores_per_node = 12});
+  std::mt19937_64 rng(14);
+  for (double shm_share : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      expect_matches_oracle(
+          cluster, random_flows(rng, cluster, 1 + trial, shm_share, 0),
+          random_flows(rng, cluster, trial % 5, shm_share, 0));
+    }
+  }
+}
+
+TEST(CostModelOracle, RepeatedCallsAcrossClusterSizes) {
+  // One thread's scratch serves every cluster: alternate large and
+  // small clusters so a stale entry from a bigger batch would leak into
+  // the next one.
+  const Cluster big(ClusterSpec{.num_nodes = 64, .cores_per_node = 4});
+  const Cluster small(ClusterSpec{.num_nodes = 3, .cores_per_node = 4});
+  const Cluster sparse(ClusterSpec{
+      .num_nodes = 10, .cores_per_node = 2, .torus = {3, 3, 2}});
+  const Cluster* clusters[] = {&big, &small, &sparse, &big, &sparse, &small};
+  std::mt19937_64 rng(15);
+  for (int round = 0; round < 50; ++round) {
+    for (const Cluster* cluster : clusters) {
+      expect_matches_oracle(*cluster,
+                            random_flows(rng, *cluster, 1 + round % 25, 0.3, 5),
+                            random_flows(rng, *cluster, round % 9, 0.3, 4));
+    }
+  }
 }
 
 }  // namespace

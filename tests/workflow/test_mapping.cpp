@@ -32,6 +32,110 @@ TEST(Placement, ValidityChecks) {
   EXPECT_FALSE(q.valid(cluster));
 }
 
+TEST(Placement, IteratesInAppThenRankOrder) {
+  // Assigns arrive out of order across apps and ranks (the engine merges
+  // client-mapped and fallback apps); iteration is (app_id, rank) order.
+  Placement p;
+  p.assign(TaskId{7, 2}, CoreLoc{1, 0});
+  p.assign(TaskId{3, 1}, CoreLoc{0, 1});
+  p.assign(TaskId{7, 0}, CoreLoc{1, 1});
+  p.assign(TaskId{5, 0}, CoreLoc{2, 0});
+  p.assign(TaskId{3, 0}, CoreLoc{0, 0});
+  p.assign(TaskId{7, 1}, CoreLoc{1, 2});
+  std::vector<TaskId> order;
+  std::vector<CoreLoc> locs;
+  for (const auto& [task, loc] : p.all()) {
+    order.push_back(task);
+    locs.push_back(loc);
+  }
+  const std::vector<TaskId> want = {{3, 0}, {3, 1}, {5, 0},
+                                    {7, 0}, {7, 1}, {7, 2}};
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(locs, (std::vector<CoreLoc>{
+                      {0, 0}, {0, 1}, {2, 0}, {1, 1}, {1, 2}, {1, 0}}));
+  EXPECT_EQ(p.size(), 6u);
+  EXPECT_EQ(p.loc(TaskId{7, 2}), (CoreLoc{1, 0}));
+}
+
+TEST(Placement, SkipsRanksNotYetPlaced) {
+  // A sparse app (rank 4 before ranks 0-3) iterates only its placed ranks.
+  Placement p;
+  p.assign(TaskId{1, 4}, CoreLoc{0, 4});
+  p.assign(TaskId{1, 1}, CoreLoc{0, 1});
+  std::vector<TaskId> order;
+  for (const auto& [task, loc] : p.all()) order.push_back(task);
+  EXPECT_EQ(order, (std::vector<TaskId>{{1, 1}, {1, 4}}));
+  EXPECT_FALSE(p.has(TaskId{1, 0}));
+  EXPECT_FALSE(p.has(TaskId{1, 5}));
+  EXPECT_THROW(p.loc(TaskId{1, 2}), Error);
+  EXPECT_THROW(p.loc(TaskId{1, 99}), Error);
+  EXPECT_THROW(p.loc(TaskId{2, 0}), Error);
+  EXPECT_THROW(p.loc(TaskId{1, -1}), Error);
+}
+
+TEST(Placement, DuplicateAssignThrowsAndKeepsTheFirst) {
+  Placement p;
+  p.assign(TaskId{2, 3}, CoreLoc{0, 0});
+  EXPECT_THROW(p.assign(TaskId{2, 3}, CoreLoc{1, 1}), Error);
+  EXPECT_EQ(p.loc(TaskId{2, 3}), (CoreLoc{0, 0}));
+  EXPECT_EQ(p.size(), 1u);
+  EXPECT_THROW(p.assign(TaskId{2, 0}, CoreLoc{-1, 0}), Error);
+  EXPECT_THROW(p.assign(TaskId{2, -1}, CoreLoc{0, 1}), Error);
+  EXPECT_EQ(p.size(), 1u);
+}
+
+TEST(Placement, ValidityRejectsSharedCoresAndOutOfRange) {
+  Cluster cluster(ClusterSpec{.num_nodes = 2, .cores_per_node = 3});
+  Placement ok;
+  for (i32 r = 0; r < 6; ++r) ok.assign(TaskId{1, r}, CoreLoc{r / 3, r % 3});
+  EXPECT_TRUE(ok.valid(cluster));
+  // Two tasks of different apps on one core.
+  Placement shared;
+  shared.assign(TaskId{1, 0}, CoreLoc{1, 2});
+  shared.assign(TaskId{4, 0}, CoreLoc{1, 2});
+  EXPECT_FALSE(shared.valid(cluster));
+  Placement far_node;
+  far_node.assign(TaskId{1, 0}, CoreLoc{2, 0});
+  EXPECT_FALSE(far_node.valid(cluster));
+  Placement far_core;
+  far_core.assign(TaskId{1, 0}, CoreLoc{0, 3});
+  EXPECT_FALSE(far_core.valid(cluster));
+  EXPECT_TRUE(Placement{}.valid(cluster));
+}
+
+TEST(Placement, EqualityIsSameTasksOnSameCores) {
+  // wfgen::enact compares final placements with ==: insertion order and
+  // rank gaps filled later must not matter, a moved task must.
+  Placement a;
+  a.assign(TaskId{1, 0}, CoreLoc{0, 0});
+  a.assign(TaskId{1, 1}, CoreLoc{0, 1});
+  a.assign(TaskId{2, 0}, CoreLoc{1, 0});
+  Placement b;
+  b.assign(TaskId{2, 0}, CoreLoc{1, 0});
+  b.assign(TaskId{1, 1}, CoreLoc{0, 1});
+  b.assign(TaskId{1, 0}, CoreLoc{0, 0});
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(a.all() == b.all());
+  Placement moved = b;
+  EXPECT_TRUE(moved == a);
+  Placement c;
+  c.assign(TaskId{1, 0}, CoreLoc{0, 0});
+  c.assign(TaskId{1, 1}, CoreLoc{0, 2});  // same task, other core
+  c.assign(TaskId{2, 0}, CoreLoc{1, 0});
+  EXPECT_FALSE(a == c);
+  Placement d;  // a subset
+  d.assign(TaskId{1, 0}, CoreLoc{0, 0});
+  d.assign(TaskId{1, 1}, CoreLoc{0, 1});
+  EXPECT_FALSE(a == d);
+  EXPECT_FALSE(d == a);
+  Placement e;  // same size, different task
+  e.assign(TaskId{1, 0}, CoreLoc{0, 0});
+  e.assign(TaskId{1, 1}, CoreLoc{0, 1});
+  e.assign(TaskId{3, 0}, CoreLoc{1, 0});
+  EXPECT_FALSE(a == e);
+  EXPECT_TRUE(Placement{} == Placement{});
+}
+
 TEST(RoundRobin, AppsFillConsecutiveCores) {
   Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});
   const auto apps = std::vector<AppSpec>{make_app(1, {12}, {12}),

@@ -5,7 +5,8 @@ and pointer values. The repo's golden artifacts (Metrics::report, trace
 export, checkpoint serialization, dump_hierarchy) promise byte-identical
 output for equal inputs, so any range-for over an unordered_map/set inside
 a canonical-output function is a latent golden-test flake — it works until
-a rehash reorders it.
+a rehash reorders it. cods::FlatTable counts as unordered too: its entry
+order follows the insert/erase history.
 
 Scope: functions whose name marks them as producing canonical output
 (report / serialize / export* / dump* / to_json / to_string / write* /
@@ -29,6 +30,9 @@ from ..registry import Check, Finding, register
 UNORDERED_HEADS = {
     "std::unordered_map", "std::unordered_set",
     "std::unordered_multimap", "std::unordered_multiset",
+    # src/common/flat_table.hpp: iterates its dense entries in insertion
+    # and erase-history order.
+    "FlatTable", "cods::FlatTable",
 }
 
 CANONICAL_FN_RE = re.compile(
