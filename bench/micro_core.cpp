@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark) for the framework's hot paths:
 // Hilbert encode/decode, box->span decomposition, M x N redistribution
-// volume computation, multilevel partitioning, and live CoDS put/get.
+// volume computation, batch pricing in the cost model, multilevel
+// partitioning, and live CoDS put/get.
 #include <benchmark/benchmark.h>
 
 #include "core/cods.hpp"
 #include "geometry/redistribution.hpp"
 #include "partition/partitioner.hpp"
+#include "platform/cost_model.hpp"
 #include "sfc/curve.hpp"
 
 namespace {
@@ -35,14 +37,40 @@ void BM_HilbertDecode3D(benchmark::State& state) {
 }
 BENCHMARK(BM_HilbertDecode3D);
 
+// Argument: min_side_log2. 0 is the exact decomposition the runtime DHT
+// uses; 7 (bits - 3) is the granularity of the modelled DHT's owner
+// lookups in run_modeled_scenario.
 void BM_BoxSpans(benchmark::State& state) {
   const SfcCurve curve(CurveKind::kHilbert, 3, 10);
   const Box query{{100, 200, 300}, {227, 327, 427}};
+  const int granularity = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(box_spans(curve, query));
+    benchmark::DoNotOptimize(box_spans(curve, query, granularity));
   }
 }
-BENCHMARK(BM_BoxSpans)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BoxSpans)->Arg(0)->Arg(7)->Unit(benchmark::kMicrosecond);
+
+// The Fig. 16 base rung's concurrent coupling with a cyclic consumer:
+// 512 blocked producer tasks -> 64 element-cyclic consumer tasks on
+// 12-core nodes, so every consumer pulls from every producer and each
+// (src node, dst node) pair carries on the order of a hundred flows.
+void BM_BatchTimeRepeatedPairs(benchmark::State& state) {
+  const Decomposition src({1024, 1024, 1024}, {8, 8, 8}, Dist::kBlocked);
+  const Decomposition dst({1024, 1024, 1024}, {4, 4, 4}, Dist::kCyclic);
+  const Cluster cluster(ClusterSpec{.num_nodes = 48, .cores_per_node = 12});
+  const auto loc = [](i32 task) { return CoreLoc{task / 12, task % 12}; };
+  std::vector<Flow> flows;
+  for (const TransferVolume& t : redistribution_volumes(src, dst)) {
+    flows.push_back(Flow{loc(t.src_rank), loc(src.ntasks() + t.dst_rank),
+                         t.cells * 8});
+  }
+  const CostModel model(cluster);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.batch_time(flows));
+  }
+  state.SetLabel(std::to_string(flows.size()) + " flows");
+}
+BENCHMARK(BM_BatchTimeRepeatedPairs)->Unit(benchmark::kMicrosecond);
 
 void BM_RedistributionVolumes(benchmark::State& state) {
   const i32 scale = static_cast<i32>(state.range(0));

@@ -91,9 +91,16 @@ class FlatTable {
     return true;
   }
 
-  /// Empties the table and keeps its capacity.
+  /// Empties the table and keeps its capacity. A sparse table empties
+  /// only its used slots, so clearing costs O(size), not O(capacity).
   void clear() {
-    slots_.assign(slots_.size(), Slot{});
+    if (entries_.size() * 4 < slots_.size()) {
+      for (u32 entry = 1; entry <= entries_.size(); ++entry) {
+        slots_[slot_of_entry(entry)] = Slot{};
+      }
+    } else {
+      slots_.assign(slots_.size(), Slot{});
+    }
     entries_.clear();
   }
 

@@ -120,7 +120,6 @@ namespace {
 struct SpanCollector {
   const SfcCurve& curve;
   const Box& query;
-  int min_side_log2;
   std::vector<IndexSpan> spans;
 
   // cube: anchored at `anchor` with side 2^side_log2.
@@ -134,8 +133,7 @@ struct SpanCollector {
       if (hi < query.lb[d] || lo > query.ub[d]) return;  // disjoint
       if (lo < query.lb[d] || hi > query.ub[d]) inside = false;
     }
-    if (inside || (side_log2 <= min_side_log2 && side_log2 > 0) ||
-        side_log2 == 0) {
+    if (inside || side_log2 == 0) {
       // Aligned subcube => contiguous aligned index range.
       const u64 cells = u64{1} << (curve.ndim() * side_log2);
       const u64 base = curve.encode(anchor) & ~(cells - 1);
@@ -155,16 +153,9 @@ struct SpanCollector {
   }
 };
 
-}  // namespace
-
-std::vector<IndexSpan> box_spans(const SfcCurve& curve, const Box& query,
-                                 int min_side_log2) {
-  CODS_REQUIRE(query.ndim() == curve.ndim(),
-               "query dimensionality mismatch");
-  CODS_REQUIRE(query.valid(), "query box is empty");
-  CODS_REQUIRE(min_side_log2 >= 0 && min_side_log2 <= curve.bits(),
-               "span granularity out of range");
-  SpanCollector collector{curve, query, min_side_log2, {}};
+/// Sorted, merged spans covering exactly the cells of `query`.
+std::vector<IndexSpan> exact_spans(const SfcCurve& curve, const Box& query) {
+  SpanCollector collector{curve, query, {}};
   collector.visit(Point::zeros(curve.ndim()), curve.bits());
   auto& spans = collector.spans;
   std::sort(spans.begin(), spans.end(),
@@ -180,6 +171,46 @@ std::vector<IndexSpan> box_spans(const SfcCurve& curve, const Box& query,
   }
   spans.resize(merged);
   return std::move(spans);
+}
+
+}  // namespace
+
+std::vector<IndexSpan> box_spans(const SfcCurve& curve, const Box& query,
+                                 int min_side_log2) {
+  CODS_REQUIRE(query.ndim() == curve.ndim(),
+               "query dimensionality mismatch");
+  CODS_REQUIRE(query.valid(), "query box is empty");
+  CODS_REQUIRE(min_side_log2 >= 0 && min_side_log2 <= curve.bits(),
+               "span granularity out of range");
+  const int g = min_side_log2;
+  if (g == 0) return exact_spans(curve, query);
+  // The cells of side 2^g that meet the query are exactly the cells of
+  // the coarse query q >> g (floor division keeps this true for
+  // coordinates outside the grid). By the coarsening identity in
+  // curve.hpp, the fine indices of the cell with coarse index c are
+  // [c, c + 1) * 2^(ndim*g). So the coarse query's exact spans, scaled,
+  // cover the same fine indices as covering each such cell whole, and
+  // both lists come out merged, hence equal.
+  Box coarse_query = query;
+  for (int d = 0; d < curve.ndim(); ++d) {
+    coarse_query.lb[d] >>= g;
+    coarse_query.ub[d] >>= g;
+  }
+  if (g == curve.bits()) {
+    // One coarse cell: the whole curve, if the query meets the grid.
+    for (int d = 0; d < curve.ndim(); ++d) {
+      if (coarse_query.ub[d] < 0 || coarse_query.lb[d] > 0) return {};
+    }
+    return {IndexSpan{0, curve.size() - 1}};
+  }
+  const SfcCurve coarse(curve.kind(), curve.ndim(), curve.bits() - g);
+  std::vector<IndexSpan> spans = exact_spans(coarse, coarse_query);
+  const int shift = curve.ndim() * g;
+  for (IndexSpan& s : spans) {
+    s.lo <<= shift;
+    s.hi = ((s.hi + 1) << shift) - 1;
+  }
+  return spans;
 }
 
 u64 span_cells(const std::vector<IndexSpan>& spans) {

@@ -10,6 +10,16 @@
 // side 2^k occupies one contiguous, 2^(n*k)-aligned index range. box_spans()
 // exploits this to turn a bounding-box query into a short list of index
 // spans without visiting individual cells.
+//
+// Both curves also coarsen exactly: for g in [0, bits),
+//   SfcCurve(kind, n, bits).encode(p) >> (n*g)
+//       == SfcCurve(kind, n, bits - g).encode(p >> g),
+// i.e. the top n*(bits-g) index bits are the coarse curve's index of the
+// cell of side 2^g holding p. For Morton this is the bit interleave. For
+// Hilbert, Skilling's step at bit q rewrites only bits below q, and the
+// Gray code and the final XOR mask of a high bit depend only on higher
+// bits, so the top levels never see the low ones. box_spans() with
+// min_side_log2 = g > 0 runs on the coarse curve because of this.
 #pragma once
 
 #include <vector>
@@ -62,10 +72,12 @@ class SfcCurve {
 };
 
 /// Decomposes a box query into the sorted, merged list of curve index spans
-/// covering exactly the box's cells. `min_side_log2` > 0 coarsens the
-/// recursion: subcubes of side 2^min_side_log2 are emitted whole when they
-/// merely intersect the query, trading span count for over-coverage
-/// (callers that only need the set of DHT owners use this).
+/// covering exactly the box's cells. `min_side_log2` = g > 0 coarsens the
+/// result: every aligned subcube of side 2^g that merely intersects the
+/// query is covered whole, trading span count for over-coverage (callers
+/// that only need the set of DHT owners use this). It is computed as the
+/// exact spans of the query's coarse cells on the curve with bits - g
+/// levels, each scaled by 2^(ndim*g).
 std::vector<IndexSpan> box_spans(const SfcCurve& curve, const Box& query,
                                  int min_side_log2 = 0);
 

@@ -85,5 +85,26 @@ TEST(FlatTable, ClearKeepsWorking) {
   EXPECT_EQ(table.begin()->key, 5u);
 }
 
+TEST(FlatTable, SparseClearEmptiesOnlyUsedSlots) {
+  // Few entries in a large index take the per-entry clear; colliding
+  // probe runs must come out empty all the same.
+  FlatTable<u64, u64, ClusteredHash> colliding(1024);
+  FlatTable<u64, u64, MixHash> spread(1024);
+  for (int round = 0; round < 3; ++round) {
+    for (u64 k = 0; k < 20; ++k) {
+      EXPECT_TRUE(colliding.insert(k + round, k).second);
+      EXPECT_TRUE(spread.insert(k * 977 + round, k).second);
+    }
+    colliding.clear();
+    spread.clear();
+    EXPECT_EQ(colliding.size(), 0u);
+    EXPECT_EQ(spread.size(), 0u);
+    for (u64 k = 0; k < 40; ++k) {
+      EXPECT_EQ(colliding.find(k), nullptr);
+      EXPECT_EQ(spread.find(k * 977 + round), nullptr);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cods

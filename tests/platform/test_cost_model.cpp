@@ -297,5 +297,87 @@ TEST(CostModelOracle, RepeatedCallsAcrossClusterSizes) {
   }
 }
 
+TEST(CostModelOracle, ManyFlowsPerNodePair) {
+  // A cyclic redistribution between two apps on 12-core nodes: every
+  // producer task sends to every consumer task, so each (src node, dst
+  // node) pair carries 144 flows of distinct sizes.
+  const Cluster cluster(ClusterSpec{.num_nodes = 16, .cores_per_node = 12});
+  const auto loc = [](i32 task) { return CoreLoc{task / 12, task % 12}; };
+  std::vector<Flow> flows;
+  for (i32 src = 0; src < 96; ++src) {
+    for (i32 dst = 0; dst < 96; ++dst) {
+      const u64 bytes =
+          3'000'017 + static_cast<u64>((src * 7919 + dst * 104729) % 65'521);
+      flows.push_back(Flow{loc(src), loc(96 + dst), bytes});
+    }
+  }
+  expect_matches_oracle(cluster, flows, {});
+  // The same redistribution as background to a smaller primary batch, and
+  // a consumer that shares the producers' nodes (shared-memory flows mixed
+  // in with the repeated pairs).
+  const std::vector<Flow> head(flows.begin(), flows.begin() + 300);
+  expect_matches_oracle(cluster, head, flows);
+  std::vector<Flow> overlapping;
+  for (const Flow& f : flows) {
+    overlapping.push_back(
+        Flow{f.src, loc((f.dst.node * 12 + f.dst.core) % 144), f.bytes});
+  }
+  expect_matches_oracle(cluster, overlapping, {});
+}
+
+TEST(CostModelOracle, PairCarriesPrimaryAndBackgroundFlows) {
+  // Node pair 0 -> 5 carries both kinds: its links and NICs are primary
+  // resources whose load includes the background bytes.
+  const Cluster cluster(ClusterSpec{.num_nodes = 8, .cores_per_node = 12});
+  const std::vector<Flow> primary = {{{0, 0}, {5, 0}, 1'000'003},
+                                     {{0, 1}, {5, 2}, 999'983},
+                                     {{2, 0}, {3, 0}, 10'007}};
+  const std::vector<Flow> background = {{{0, 3}, {5, 3}, 7'000'001},
+                                        {{0, 4}, {5, 1}, 123'457},
+                                        {{5, 0}, {0, 0}, 4'000'037}};
+  expect_matches_oracle(cluster, primary, background);
+  const CostModel model(cluster);
+  EXPECT_GT(model.batch_time_with_background(primary, background),
+            model.batch_time(primary));
+}
+
+TEST(CostModelOracle, BackgroundOnlyPairCrossesPrimaryLink) {
+  // On a ring of 8, the primary 0 -> 2 uses links 0->1 and 1->2; the
+  // background-only pair 1 -> 3 uses 1->2 and 2->3. Its bytes load the
+  // shared link, which bounds the batch, while the heavy pair 3 -> 5
+  // touches no primary resource and must not bound it.
+  const Cluster ring(ClusterSpec{
+      .num_nodes = 8, .cores_per_node = 12, .torus = {8, 1, 1}});
+  const std::vector<Flow> primary = {{{0, 0}, {2, 0}, 1 << 20}};
+  const std::vector<Flow> background = {{{1, 0}, {3, 0}, 3 << 20},
+                                        {{1, 1}, {3, 1}, 5 << 20},
+                                        {{3, 0}, {5, 0}, 100 << 20}};
+  expect_matches_oracle(ring, primary, background);
+  const CostModel model(ring);
+  const double alone = model.batch_time(primary);
+  const double contended =
+      model.batch_time_with_background(primary, {background[0], background[1]});
+  EXPECT_GT(contended, alone);
+  EXPECT_EQ(model.batch_time_with_background(primary, background), contended)
+      << "a background-only link bounded the batch";
+}
+
+TEST(CostModelOracle, RejectsBatchOf2To53Bytes) {
+  // Per-pair sums stay exact in double only below 2^53 bytes per batch.
+  const Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 2});
+  const CostModel model(cluster);
+  const u64 half = u64{1} << 52;
+  EXPECT_NO_THROW(model.batch_time({{{0, 0}, {1, 0}, 2 * half - 1}}));
+  EXPECT_THROW(
+      model.batch_time({{{0, 0}, {1, 0}, half}, {{2, 0}, {3, 0}, half}}),
+      Error);
+  EXPECT_THROW(model.batch_time_with_background({{{0, 0}, {1, 0}, half}},
+                                                {{{1, 0}, {1, 1}, half}}),
+               Error);
+  EXPECT_THROW(model.batch_time({{{0, 0}, {1, 0}, ~u64{0}}}), Error);
+  // A rejected batch leaves the scratch usable.
+  expect_matches_oracle(cluster, {{{0, 0}, {1, 0}, 4096}}, {});
+}
+
 }  // namespace
 }  // namespace cods

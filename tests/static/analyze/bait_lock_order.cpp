@@ -8,6 +8,11 @@
 //   ba():            the seeded inversion  -> edge bait.b -> bait.a
 //   outer()/helper(): acquisition held across a call (interprocedural)
 //                                          -> edge bait.a -> bait.c
+//   Left/Right::run(): each class nests its own `Slot` with a differently
+//                      named mutex; `slot.mutex` must resolve to the
+//                      enclosing class's Slot, whichever was parsed first
+//                                          -> edges bait.left -> bait.left_slot
+//                                             and bait.right -> bait.right_slot
 // The a<->b inversion forms a cycle; its witness line depends on the
 // sorted component, hence the file-level marker:
 // codslint-expect-file(lock-order)
@@ -50,6 +55,34 @@ struct Tangle {
   void touch() { ++generation_; }
 
   long generation_ = 0;
+};
+
+struct Left {
+  struct Slot {
+    Mutex mutex{"bait.left_slot"};
+  };
+  Mutex outer_{"bait.left"};
+  Slot slots_[2];
+
+  void run() {
+    MutexLock lo(outer_);
+    Slot& slot = slots_[0];
+    MutexLock ls(slot.mutex);
+  }
+};
+
+struct Right {
+  struct Slot {
+    Mutex mutex{"bait.right_slot"};
+  };
+  Mutex outer_{"bait.right"};
+  Slot slots_[2];
+
+  void run() {
+    MutexLock lo(outer_);
+    Slot& slot = slots_[1];
+    MutexLock ls(slot.mutex);
+  }
 };
 
 }  // namespace bait_lock

@@ -302,7 +302,10 @@ class CodeIndex:
                 continue
             if t.text in (".", "->") and i + 1 < n:
                 member = toks[i + 1].text
-                owner = self.find_class(cur_type)
+                # The function's context makes a nested type of its own
+                # class win over a same-named one elsewhere (two classes
+                # each with a nested `Slot`), whatever the parse order.
+                owner = self.find_class(cur_type, fn.qualname)
                 field = self.class_field(owner, member)
                 if field is not None:
                     cur_type = field.type_text
@@ -360,7 +363,8 @@ class CodeIndex:
         # a.b / a->b chains: resolve owner type, then the final field.
         if len(toks) >= 3 and toks[-2].text in (".", "->"):
             owner_t = self.resolve_expr_type(expr[:-2], fn, at_tok)
-            owner = self.find_class(owner_t) if owner_t else None
+            owner = self.find_class(owner_t, fn.qualname) if owner_t \
+                else None
             field = self.class_field(owner, toks[-1].text)
             if field is not None:
                 return field.init_string

@@ -8,7 +8,8 @@ must stay silent. Lock-order cycles carry a file-level marker
 `// codslint-expect-file(lock-order)` because a cycle's witness line
 depends on the sorted component, not on one bait statement. The self-test
 also asserts the interprocedural lock-graph machinery directly: the bait
-graph must contain the seeded nested, call-through and inverted edges.
+graph must contain the seeded nested, call-through and inverted edges, and
+the edges through two same-named nested types.
 
 This is what CI runs before trusting a src/ analysis, and what a check
 author runs while iterating (docs/STATIC_ANALYSIS.md)."""
@@ -31,6 +32,10 @@ REQUIRED_BAIT_EDGES = (
     ("bait.a", "bait.b"),   # direct nesting in ab()
     ("bait.b", "bait.a"),   # the seeded inversion in ba()
     ("bait.a", "bait.c"),   # held across a call into helper()
+    # A nested type resolves in its enclosing class first: Left::Slot and
+    # Right::Slot share a name, and each run() locks its own class's.
+    ("bait.left", "bait.left_slot"),
+    ("bait.right", "bait.right_slot"),
 )
 
 
