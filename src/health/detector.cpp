@@ -31,7 +31,6 @@ FailureDetector::FailureDetector(DetectorConfig config, i32 num_nodes)
   CODS_REQUIRE(num_nodes >= 1, "detector needs at least one node");
   CODS_REQUIRE(config_.heartbeat_period > 0.0,
                "heartbeat period must be positive");
-  CODS_REQUIRE(config_.window >= 2, "detector window must hold >= 2 samples");
   CODS_REQUIRE(config_.phi_suspect <= config_.phi_quarantine &&
                    config_.phi_quarantine <= config_.phi_dead,
                "phi thresholds must be ordered suspect <= quarantine <= dead");
@@ -49,7 +48,7 @@ void FailureDetector::heartbeat(i32 node, double now) {
   if (n.state == NodeHealth::kDead) return;  // death is terminal
   if (n.last_arrival >= 0.0) {
     const double interval = now - n.last_arrival;
-    if (static_cast<i32>(n.intervals.size()) < config_.window) {
+    if (static_cast<i32>(n.intervals.size()) < kDetectorWindow) {
       n.intervals.push_back(interval);
     } else {
       n.intervals[n.next_slot] = interval;
@@ -88,7 +87,7 @@ double FailureDetector::phi_of(const Node& n, double now) const {
   double var = 0.0;
   for (double v : n.intervals) var += (v - mean) * (v - mean);
   var /= static_cast<double>(n.intervals.size());
-  const double floor = config_.min_stddev_frac * mean;
+  const double floor = kMinStddevFrac * mean;
   const double stddev = std::max(std::sqrt(var), floor);
   const double elapsed = now - last_arrival;
   const double z = (elapsed - mean) / stddev;

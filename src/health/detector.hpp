@@ -21,13 +21,17 @@
 
 namespace cods {
 
+/// Inter-arrival samples kept per node.
+inline constexpr i32 kDetectorWindow = 16;
+static_assert(kDetectorWindow >= 2, "detector window must hold >= 2 samples");
+
+/// Floor on the inter-arrival stddev, as a fraction of the mean: keeps phi
+/// finite when arrivals are perfectly regular (they are, on the virtual
+/// clock, until drops perturb them).
+inline constexpr double kMinStddevFrac = 0.25;
+
 struct DetectorConfig {
   double heartbeat_period = 1e-3;  ///< modelled seconds between heartbeats
-  i32 window = 16;                 ///< inter-arrival samples kept per node
-  /// Floor on the inter-arrival stddev, as a fraction of the mean: keeps
-  /// phi finite when arrivals are perfectly regular (they are, on the
-  /// virtual clock, until drops perturb them).
-  double min_stddev_frac = 0.25;
   double phi_suspect = 1.0;     ///< kAlive -> kSuspect
   double phi_quarantine = 3.0;  ///< kSuspect -> kQuarantined
   double phi_dead = 8.0;        ///< quarantined -> kDead (with the gate below)

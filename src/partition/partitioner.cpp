@@ -12,6 +12,9 @@ namespace {
 
 i64 ceil_div(i64 a, i64 b) { return (a + b - 1) / b; }
 
+constexpr int kRefinePasses = 8;    ///< refinement sweeps per level
+constexpr i32 kCoarsenTarget = 96;  ///< stop coarsening near this many vertices
+
 struct CoarseLevel {
   Graph graph;
   std::vector<i32> fine_to_coarse;
@@ -93,18 +96,17 @@ std::vector<i64> part_weights(const Graph& g, std::span<const i32> part,
   return w;
 }
 
-/// Greedy graph growing on the coarsest graph, capacity-aware per part.
-std::vector<i32> initial_partition(const Graph& g, i32 nparts,
-                                   std::span<const i64> caps, Rng& rng) {
+/// Greedy graph growing on the coarsest graph under the hard capacity.
+std::vector<i32> initial_partition(const Graph& g, i32 nparts, i64 cap,
+                                   Rng& rng) {
   std::vector<i32> part(static_cast<size_t>(g.nvtx), -1);
   if (nparts == 1) {
     std::fill(part.begin(), part.end(), 0);
     return part;
   }
   std::vector<i64> weight(static_cast<size_t>(nparts), 0);
-  const i64 total = g.total_vertex_weight();
-  i64 total_cap = 0;
-  for (i64 c : caps) total_cap += c;
+  // Grow each region towards an even share of the total weight.
+  const i64 target = std::min(cap, ceil_div(g.total_vertex_weight(), nparts));
   i32 assigned = 0;
 
   std::vector<i32> perm(static_cast<size_t>(g.nvtx));
@@ -120,9 +122,6 @@ std::vector<i32> initial_partition(const Graph& g, i32 nparts,
   };
 
   for (i32 p = 0; p < nparts && assigned < g.nvtx; ++p) {
-    const i64 cap = caps[static_cast<size_t>(p)];
-    // Grow each region towards its proportional share of the total weight.
-    const i64 target = std::min(cap, ceil_div(total * cap, total_cap));
     std::vector<i64> connectivity(static_cast<size_t>(g.nvtx), 0);
     std::vector<i32> frontier;
     auto add_to_region = [&](i32 v) {
@@ -173,23 +172,18 @@ std::vector<i32> initial_partition(const Graph& g, i32 nparts,
       add_to_region(best);
     }
   }
-  // Leftovers: relatively-lightest part with room; if coarse-vertex
-  // granularity leaves no part with room, overfill the relatively-lightest
-  // part — the fine-level repair pass restores the hard bound.
-  auto fill_ratio = [&](i32 p) {
-    return static_cast<double>(weight[static_cast<size_t>(p)]) /
-           static_cast<double>(std::max<i64>(1, caps[static_cast<size_t>(p)]));
-  };
+  // Leftovers: lightest part with room; if coarse-vertex granularity
+  // leaves no part with room, overfill the lightest part — the fine-level
+  // repair pass restores the hard bound.
   for (i32 v = 0; v < g.nvtx; ++v) {
     if (part[static_cast<size_t>(v)] != -1) continue;
     i32 best = -1;
     i32 lightest = 0;
     for (i32 p = 0; p < nparts; ++p) {
-      if (fill_ratio(p) < fill_ratio(lightest)) lightest = p;
-      if (weight[static_cast<size_t>(p)] + g.vwgt[static_cast<size_t>(v)] >
-          caps[static_cast<size_t>(p)])
-        continue;
-      if (best < 0 || fill_ratio(p) < fill_ratio(best)) best = p;
+      const i64 w = weight[static_cast<size_t>(p)];
+      if (w < weight[static_cast<size_t>(lightest)]) lightest = p;
+      if (w + g.vwgt[static_cast<size_t>(v)] > cap) continue;
+      if (best < 0 || w < weight[static_cast<size_t>(best)]) best = p;
     }
     if (best < 0) best = lightest;
     part[static_cast<size_t>(v)] = best;
@@ -227,8 +221,8 @@ i64 conn_to(const PartConn& row, i32 p) {
 /// rows. Interior vertices — one row entry, their own part — are
 /// rejected in O(1) per pass instead of re-scanning their edges, which
 /// is most of the graph once the partition is locally good.
-void refine(const Graph& g, std::vector<i32>& part, i32 nparts,
-            std::span<const i64> caps, int passes, Rng& rng) {
+void refine(const Graph& g, std::vector<i32>& part, i32 nparts, i64 cap,
+            Rng& rng) {
   if (nparts <= 1 || g.nvtx == 0) return;
   std::vector<i64> weight = part_weights(g, part, nparts);
   std::vector<PartConn> conn(static_cast<size_t>(g.nvtx));
@@ -242,7 +236,7 @@ void refine(const Graph& g, std::vector<i32>& part, i32 nparts,
   }
   std::vector<i32> order(static_cast<size_t>(g.nvtx));
   std::iota(order.begin(), order.end(), 0);
-  for (int pass = 0; pass < passes; ++pass) {
+  for (int pass = 0; pass < kRefinePasses; ++pass) {
     std::shuffle(order.begin(), order.end(), rng);
     bool moved = false;
     for (i32 v : order) {
@@ -256,7 +250,7 @@ void refine(const Graph& g, std::vector<i32>& part, i32 nparts,
       for (const auto& [p, w] : row) {
         if (p == from) continue;
         if (weight[static_cast<size_t>(p)] + g.vwgt[static_cast<size_t>(v)] >
-            caps[static_cast<size_t>(p)])
+            cap)
           continue;
         const i64 gain = w - conn_from;
         const bool better =
@@ -287,14 +281,14 @@ void refine(const Graph& g, std::vector<i32>& part, i32 nparts,
   }
 }
 
-/// Moves vertices out of overfull parts until every capacity holds.
+/// Moves vertices out of overfull parts until the capacity holds.
 void repair_capacity(const Graph& g, std::vector<i32>& part, i32 nparts,
-                     std::span<const i64> caps) {
+                     i64 cap) {
   std::vector<i64> weight = part_weights(g, part, nparts);
   for (;;) {
     i32 over = -1;
     for (i32 p = 0; p < nparts; ++p) {
-      if (weight[static_cast<size_t>(p)] > caps[static_cast<size_t>(p)]) {
+      if (weight[static_cast<size_t>(p)] > cap) {
         over = p;
         break;
       }
@@ -310,7 +304,7 @@ void repair_capacity(const Graph& g, std::vector<i32>& part, i32 nparts,
       for (i32 p = 0; p < nparts; ++p) {
         if (p == over) continue;
         if (weight[static_cast<size_t>(p)] + g.vwgt[static_cast<size_t>(v)] >
-            caps[static_cast<size_t>(p)])
+            cap)
           continue;
         i64 cost = 0;
         for (i64 e = g.xadj[static_cast<size_t>(v)];
@@ -334,24 +328,21 @@ void repair_capacity(const Graph& g, std::vector<i32>& part, i32 nparts,
   }
 }
 
-/// The full multilevel pipeline for one (sub)problem.
-std::vector<i32> multilevel_partition(const Graph& g, i32 nparts,
-                                      std::span<const i64> caps,
-                                      const PartitionOptions& options,
+/// The full multilevel pipeline: coarsen, partition the coarsest graph,
+/// then project back and refine level by level.
+std::vector<i32> multilevel_partition(const Graph& g, i32 nparts, i64 cap,
                                       Rng& rng) {
-  const i64 merge_cap =
-      *std::max_element(caps.begin(), caps.end());
   std::vector<CoarseLevel> levels;
   const Graph* current = &g;
-  while (current->nvtx > std::max<i32>(options.coarsen_target, nparts * 2)) {
-    auto level = coarsen_once(*current, merge_cap, rng);
+  while (current->nvtx > std::max<i32>(kCoarsenTarget, nparts * 2)) {
+    auto level = coarsen_once(*current, cap, rng);
     if (!level) break;
     levels.push_back(std::move(*level));
     current = &levels.back().graph;
   }
 
-  std::vector<i32> part = initial_partition(*current, nparts, caps, rng);
-  refine(*current, part, nparts, caps, options.refine_passes, rng);
+  std::vector<i32> part = initial_partition(*current, nparts, cap, rng);
+  refine(*current, part, nparts, cap, rng);
 
   for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
     const Graph& fine =
@@ -362,77 +353,11 @@ std::vector<i32> multilevel_partition(const Graph& g, i32 nparts,
           part[static_cast<size_t>(it->fine_to_coarse[static_cast<size_t>(v)])];
     }
     part = std::move(fine_part);
-    refine(fine, part, nparts, caps, options.refine_passes, rng);
+    refine(fine, part, nparts, cap, rng);
   }
 
-  repair_capacity(g, part, nparts, caps);
+  repair_capacity(g, part, nparts, cap);
   return part;
-}
-
-/// Extracts the sub-graph induced by the vertices with part[v] == side.
-/// Returns the sub-graph and the local->global vertex mapping.
-std::pair<Graph, std::vector<i32>> induced_subgraph(
-    const Graph& g, std::span<const i32> part, i32 side) {
-  std::vector<i32> local(static_cast<size_t>(g.nvtx), -1);
-  std::vector<i32> global;
-  for (i32 v = 0; v < g.nvtx; ++v) {
-    if (part[static_cast<size_t>(v)] == side) {
-      local[static_cast<size_t>(v)] = static_cast<i32>(global.size());
-      global.push_back(v);
-    }
-  }
-  std::vector<std::tuple<i32, i32, i64>> edges;
-  std::vector<i64> vwgt;
-  vwgt.reserve(global.size());
-  for (i32 lv = 0; lv < static_cast<i32>(global.size()); ++lv) {
-    const i32 v = global[static_cast<size_t>(lv)];
-    vwgt.push_back(g.vwgt[static_cast<size_t>(v)]);
-    for (i64 e = g.xadj[static_cast<size_t>(v)];
-         e < g.xadj[static_cast<size_t>(v) + 1]; ++e) {
-      const i32 u = g.adjncy[static_cast<size_t>(e)];
-      const i32 lu = local[static_cast<size_t>(u)];
-      if (lu > lv) {
-        edges.emplace_back(lv, lu, g.adjwgt[static_cast<size_t>(e)]);
-      }
-    }
-  }
-  return {Graph::from_edges(static_cast<i32>(global.size()), edges,
-                            std::move(vwgt)),
-          std::move(global)};
-}
-
-void recursive_bisect(const Graph& g, std::span<const i32> global_ids,
-                      i32 nparts, std::span<const i64> caps, i32 first_part,
-                      const PartitionOptions& options, Rng& rng,
-                      std::vector<i32>& out) {
-  if (nparts == 1) {
-    for (i32 v = 0; v < g.nvtx; ++v) {
-      out[static_cast<size_t>(global_ids[static_cast<size_t>(v)])] =
-          first_part;
-    }
-    return;
-  }
-  const i32 k1 = nparts / 2;
-  const i32 k2 = nparts - k1;
-  i64 cap_left = 0;
-  i64 cap_right = 0;
-  for (i32 p = 0; p < k1; ++p) cap_left += caps[static_cast<size_t>(p)];
-  for (i32 p = k1; p < nparts; ++p) cap_right += caps[static_cast<size_t>(p)];
-  const std::array<i64, 2> side_caps = {cap_left, cap_right};
-  const std::vector<i32> bisection =
-      multilevel_partition(g, 2, side_caps, options, rng);
-  for (i32 side = 0; side < 2; ++side) {
-    auto [sub, sub_global] = induced_subgraph(g, bisection, side);
-    // Map the sub-graph's local ids back to the original vertex ids.
-    for (i32& v : sub_global) {
-      v = global_ids[static_cast<size_t>(v)];
-    }
-    if (sub.nvtx == 0) continue;
-    recursive_bisect(sub, sub_global, side == 0 ? k1 : k2,
-                     caps.subspan(side == 0 ? 0 : static_cast<size_t>(k1),
-                                  static_cast<size_t>(side == 0 ? k1 : k2)),
-                     first_part + (side == 0 ? 0 : k1), options, rng, out);
-  }
 }
 
 }  // namespace
@@ -442,43 +367,18 @@ PartitionResult kway_partition(const Graph& g, i32 nparts,
   CODS_REQUIRE(nparts >= 1, "nparts must be positive");
   g.validate();
   const i64 total = g.total_vertex_weight();
-  std::vector<i64> caps;
-  if (!options.part_capacities.empty()) {
-    CODS_REQUIRE(static_cast<i32>(options.part_capacities.size()) == nparts,
-                 "part_capacities size must equal nparts");
-    caps = options.part_capacities;
-  } else {
-    const i64 cap = options.max_part_weight > 0 ? options.max_part_weight
-                                                : ceil_div(total, nparts);
-    caps.assign(static_cast<size_t>(nparts), cap);
-  }
-  i64 total_cap = 0;
-  i64 max_cap = 0;
-  for (i64 c : caps) {
-    CODS_REQUIRE(c >= 1, "part capacity must be positive");
-    total_cap += c;
-    max_cap = std::max(max_cap, c);
-  }
-  CODS_REQUIRE(total <= total_cap,
+  const i64 cap = options.max_part_weight > 0 ? options.max_part_weight
+                                              : ceil_div(total, nparts);
+  CODS_REQUIRE(cap >= 1, "part capacity must be positive");
+  CODS_REQUIRE(total <= static_cast<i64>(nparts) * cap,
                "infeasible: total vertex weight exceeds total capacity");
   for (i64 w : g.vwgt) {
-    CODS_REQUIRE(w <= max_cap, "a single vertex exceeds every capacity");
+    CODS_REQUIRE(w <= cap, "a single vertex exceeds the part capacity");
   }
 
   Rng rng(options.seed);
-  std::vector<i32> part;
-  if (options.scheme == PartitionScheme::kRecursiveBisection && nparts > 1) {
-    part.assign(static_cast<size_t>(g.nvtx), 0);
-    std::vector<i32> identity(static_cast<size_t>(g.nvtx));
-    std::iota(identity.begin(), identity.end(), 0);
-    recursive_bisect(g, identity, nparts, caps, 0, options, rng, part);
-    repair_capacity(g, part, nparts, caps);
-  } else {
-    part = multilevel_partition(g, nparts, caps, options, rng);
-  }
-
   PartitionResult result;
-  result.part = std::move(part);
+  result.part = multilevel_partition(g, nparts, cap, rng);
   result.edge_cut = g.edge_cut(result.part);
   const auto weights = part_weights(g, result.part, nparts);
   result.max_weight = weights.empty()

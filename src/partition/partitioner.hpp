@@ -1,13 +1,14 @@
-// Multilevel k-way graph partitioning with a hard per-part capacity — the
-// from-scratch METIS stand-in used by server-side data-centric task mapping.
+// Multilevel k-way graph partitioning with one uniform hard capacity per
+// part — the from-scratch METIS stand-in used by server-side data-centric
+// task mapping, where every part is a node with the same core count.
 //
 // Pipeline (classic multilevel scheme):
 //   1. Coarsening: heavy-edge matching collapses strongly-communicating
 //      vertex pairs (respecting the capacity so coarse vertices stay
 //      placeable), until the graph is small.
 //   2. Initial partitioning: greedy graph growing — grow k regions from
-//      spread-out seeds, always extending the lightest region along its
-//      heaviest frontier edge.
+//      spread-out seeds, always extending the current region along its
+//      heaviest frontier edge up to an even share of the total weight.
 //   3. Uncoarsening: project the partition back level by level, running
 //      boundary (FM-style) refinement passes that move vertices to the
 //      neighbouring part with maximal gain, subject to capacity.
@@ -18,22 +19,11 @@
 
 namespace cods {
 
-enum class PartitionScheme {
-  kDirectKway,          ///< one multilevel k-way pass (default)
-  kRecursiveBisection,  ///< classic recursive 2-way splitting
-};
-
 struct PartitionOptions {
-  /// Hard upper bound on the vertex weight of each part
+  /// Hard upper bound on the vertex weight of every part
   /// (task mapping: cores per node). 0 = ceil(total/nparts).
   i64 max_part_weight = 0;
-  /// Per-part capacities for heterogeneous nodes; overrides
-  /// max_part_weight when non-empty (size must equal nparts).
-  std::vector<i64> part_capacities;
-  u64 seed = 1;            ///< deterministic RNG seed
-  int refine_passes = 8;   ///< refinement sweeps per uncoarsening level
-  i32 coarsen_target = 96; ///< stop coarsening near this many vertices
-  PartitionScheme scheme = PartitionScheme::kDirectKway;
+  u64 seed = 1;  ///< deterministic RNG seed
 };
 
 struct PartitionResult {
@@ -43,7 +33,8 @@ struct PartitionResult {
 };
 
 /// Partitions `g` into `nparts` parts. Throws if the capacity makes the
-/// instance infeasible (total weight > nparts * max_part_weight).
+/// instance infeasible (total weight > nparts * max_part_weight, or one
+/// vertex heavier than max_part_weight).
 PartitionResult kway_partition(const Graph& g, i32 nparts,
                                PartitionOptions options = {});
 

@@ -13,6 +13,10 @@ namespace wfgen {
 
 namespace {
 
+/// Journal capacity; generous so no scenario overflows it (a dropped
+/// record would make exact reconciliation impossible by construction).
+constexpr size_t kJournalCapacity = 1 << 18;
+
 /// Builds the AppFn enacting one generated app's role. Shared output
 /// sinks (mismatch counter, moments/histogram rows) are owned by the
 /// caller and outlive the run.
@@ -99,7 +103,7 @@ EnactResult enact(const ScenarioSpec& spec, const EnactOptions& options) {
   }
 
   TraceRecorder trace;
-  TransferLog journal(options.journal_capacity);
+  TransferLog journal(kJournalCapacity);
   FaultInjector injector(spec.fault);
 
   WorkflowOptions wf;
@@ -107,7 +111,7 @@ EnactResult enact(const ScenarioSpec& spec, const EnactOptions& options) {
   wf.trace = &trace;
   wf.exec_mode = options.mode;
   wf.exec_pool_size = options.exec_pool_size;
-  if (options.journal) wf.transfer_log = &journal;
+  wf.transfer_log = &journal;
   if (spec.faulty) {
     wf.fault = &injector;
     // Transient loss rates up to 5% per op: give retries headroom so a
@@ -149,10 +153,8 @@ EnactResult enact(const ScenarioSpec& spec, const EnactOptions& options) {
   out.mismatches = mismatches->load();
   for (const auto& [id, rows] : moments) out.moments[id] = *rows;
   for (const auto& [id, rows] : histograms) out.histograms[id] = *rows;
-  if (options.journal) {
-    out.journal = journal.snapshot();
-    out.journal_dropped = journal.dropped();
-  }
+  out.journal = journal.snapshot();
+  out.journal_dropped = journal.dropped();
   const auto dead = injector.dead_nodes();
   out.dead_nodes.assign(dead.begin(), dead.end());
   out.heartbeats = metrics.count(0, "health.heartbeats");
@@ -302,7 +304,7 @@ std::string diff_runs(const EnactResult& a, const EnactResult& b) {
   // Journals as multisets: record order depends on thread scheduling in
   // the live modes, the contents must not.
   if (a.journal_dropped != 0 || b.journal_dropped != 0) {
-    return "journal overflowed (raise EnactOptions::journal_capacity)";
+    return "journal overflowed (raise kJournalCapacity in wfgen/enact.cpp)";
   }
   std::vector<JournalKey> ja;
   std::vector<JournalKey> jb;

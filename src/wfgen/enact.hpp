@@ -21,11 +21,6 @@ namespace wfgen {
 
 struct EnactOptions {
   ExecMode mode = ExecMode::kSimulate;
-  /// Attach a TransferLog journal (needed by the reconciliation oracle).
-  bool journal = true;
-  /// Journal capacity; generous so no scenario overflows it (a dropped
-  /// record would make exact reconciliation impossible by construction).
-  size_t journal_capacity = 1 << 18;
   i32 exec_pool_size = 4;
 };
 

@@ -223,7 +223,7 @@ ScenarioResult run_modeled_scenario(const ScenarioConfig& config) {
   // ----- Retrieve times (consumers pull concurrently; concurrent consumer
   // apps contend with each other: paper Fig. 11/16) -----
   std::optional<CodsDht> dht;
-  if (config.include_query_cost && config.sequential) {
+  if (config.sequential) {
     // Build the DHT index geometry to count contacted cores per query.
     const Box domain = config.apps.front().dec.domain_box();
     i64 max_extent = 1;

@@ -50,7 +50,6 @@ struct ScenarioConfig {
   int ghost_width = 2;  ///< stencil halo layers for intra-app exchange
   u64 seed = 1;
   CostParams cost;
-  bool include_query_cost = true;  ///< add DHT lookup RPCs to retrieve time
 
   /// Data-sharing substrate. kStagingArea appends `staging_nodes` dedicated
   /// nodes to the cluster; coupled regions are hashed onto them (SFC
