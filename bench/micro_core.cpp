@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the framework's hot paths:
 // Hilbert encode/decode, box->span decomposition, M x N redistribution
 // volume computation, batch pricing in the cost model, multilevel
-// partitioning, and live CoDS put/get.
+// partitioning of grids and of the paper's coupling bundles, and live
+// CoDS put/get.
 #include <benchmark/benchmark.h>
 
 #include "core/cods.hpp"
@@ -9,6 +10,7 @@
 #include "partition/partitioner.hpp"
 #include "platform/cost_model.hpp"
 #include "sfc/curve.hpp"
+#include "workflow/mapping.hpp"
 
 namespace {
 
@@ -107,6 +109,36 @@ void BM_KwayPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_KwayPartition)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+// The server-side mapping's partition of a coupling bundle on 12-core
+// nodes. Argument 0: Fig. 8 CAP1 (8x8x8 blocked) -> CAP2 (4x4x4 cyclic),
+// a dense graph; 1: the Fig. 16 x8 rung, CAP1 (16^3 blocked) -> CAP2 (8^3
+// blocked), 4,608 tasks on 384 nodes.
+void BM_PartitionBundle(benchmark::State& state) {
+  const bool x8 = state.range(0) == 1;
+  const std::vector<i64> extents =
+      x8 ? std::vector<i64>{2048, 2048, 2048}
+         : std::vector<i64>{1024, 1024, 1024};
+  auto app = [&extents](i32 id, i32 side, Dist dist) {
+    AppSpec spec;
+    spec.app_id = id;
+    spec.dec = Decomposition(extents, {side, side, side}, dist, 64);
+    spec.elem_size = 8;
+    return spec;
+  };
+  const Graph g = bundle_comm_graph(
+      {app(1, x8 ? 16 : 8, Dist::kBlocked),
+       app(2, x8 ? 8 : 4, x8 ? Dist::kBlocked : Dist::kCyclic)});
+  PartitionOptions options;
+  options.max_part_weight = 12;
+  const i32 nparts = (g.nvtx + 11) / 12;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kway_partition(g, nparts, options));
+  }
+  state.SetLabel(std::string(x8 ? "fig16 x8 blocked" : "fig08 cyclic") + ", " +
+                 std::to_string(g.nvtx) + " vertices");
+}
+BENCHMARK(BM_PartitionBundle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CodsPutGetRoundTrip(benchmark::State& state) {
   Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});

@@ -6,8 +6,8 @@
 //      its predecessor — the enactment pattern the pool is built for).
 //      Reports wall time plus the thread-count evidence: total threads
 //      spawned and the peak number simultaneously live.
-//   2. comm-graph construction: sweep-based dimension adjacency vs the
-//      naive all-pairs oracle on a 4096x4096-rank redistribution.
+//   2. comm-graph construction: the sweep-based dimension adjacency on
+//      a 512- and a 4096-rank-per-side redistribution.
 //
 // Usage:
 //   micro_executor [--smoke] [--out BENCH_executor.json]
@@ -84,14 +84,12 @@ DispatchResult bench_dispatch(i32 n, int reps) {
 struct CommGraphResult {
   i64 ranks_per_side = 0;
   double sweep_ms = 0;
-  double allpairs_ms = 0;
   size_t transfers = 0;
 };
 
-/// 1-D redistribution between two 4096-rank decompositions with
-/// misaligned block sizes. The all-pairs build scans nprocs^2 = 16.7M
-/// candidate pairs per dimension; the sweep sorts the O(nprocs) ownership
-/// segments and merges them in one pass.
+/// 1-D redistribution between two decompositions with misaligned block
+/// sizes: the sweep sorts the O(nprocs) ownership segments and merges
+/// them in one pass.
 CommGraphResult bench_comm_graph(i32 nprocs, int reps) {
   const i64 extent = static_cast<i64>(nprocs) * 257;
   DimSpec src_dim;
@@ -109,20 +107,10 @@ CommGraphResult bench_comm_graph(i32 nprocs, int reps) {
   CommGraphResult result;
   result.ranks_per_side = nprocs;
   for (int rep = 0; rep < reps; ++rep) {
-    double t0 = now_ms();
+    const double t0 = now_ms();
     const auto sweep = redistribution_volumes(src, dst);
     const double sweep_ms = now_ms() - t0;
-    t0 = now_ms();
-    const auto naive = redistribution_volumes_allpairs(src, dst);
-    const double allpairs_ms = now_ms() - t0;
-    if (sweep.size() != naive.size()) {
-      std::fprintf(stderr, "sweep/all-pairs transfer lists diverge\n");
-      std::exit(1);
-    }
     if (rep == 0 || sweep_ms < result.sweep_ms) result.sweep_ms = sweep_ms;
-    if (rep == 0 || allpairs_ms < result.allpairs_ms) {
-      result.allpairs_ms = allpairs_ms;
-    }
     result.transfers = sweep.size();
   }
   return result;
@@ -158,18 +146,16 @@ int main(int argc, char** argv) {
                 r.pooled_stats.total_spawned, r.pooled_stats.peak_live);
   }
 
-  std::printf("\ncomm-graph build: sweep vs all-pairs (1-D, blocked -> "
-              "block-cyclic)\n");
-  std::printf("%-12s %12s %14s %9s %12s\n", "ranks/side", "sweep ms",
-              "all-pairs ms", "speedup", "transfers");
+  std::printf("\ncomm-graph build: sweep (1-D, blocked -> block-cyclic)\n");
+  std::printf("%-12s %12s %12s\n", "ranks/side", "sweep ms", "transfers");
   std::vector<CommGraphResult> graphs;
   for (i32 nprocs : std::vector<i32>{512, 4096}) {
     if (smoke && nprocs > 512) break;
     const CommGraphResult g = bench_comm_graph(nprocs, reps);
     graphs.push_back(g);
-    std::printf("%-12lld %12.3f %14.3f %8.1fx %12zu\n",
+    std::printf("%-12lld %12.3f %12zu\n",
                 static_cast<long long>(g.ranks_per_side), g.sweep_ms,
-                g.allpairs_ms, g.allpairs_ms / g.sweep_ms, g.transfers);
+                g.transfers);
   }
 
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -197,9 +183,9 @@ int main(int argc, char** argv) {
     const CommGraphResult& g = graphs[i];
     std::fprintf(out,
                  "    {\"ranks_per_side\": %lld, \"sweep_ms\": %.3f,"
-                 " \"allpairs_ms\": %.3f, \"transfers\": %zu}%s\n",
+                 " \"transfers\": %zu}%s\n",
                  static_cast<long long>(g.ranks_per_side), g.sweep_ms,
-                 g.allpairs_ms, g.transfers,
+                 g.transfers,
                  i + 1 < graphs.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -1,6 +1,7 @@
 #include "geometry/redistribution.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace cods {
 
@@ -13,10 +14,9 @@ struct DimAdjacency {
   std::vector<std::vector<std::pair<i32, i64>>> adj;
 };
 
-/// Reference build: every (ra, rb) pair, closed-form overlap count per
-/// src segment. O(pa * pb * segs-per-proc); kept as the oracle for the
-/// sweep (tests/geometry/test_redistribution_sweep.cpp) and as the
-/// better choice when one side has few procs but many segments.
+/// Pair-table build: every (ra, rb) pair, closed-form overlap count per
+/// src segment. O(pa * pb * segs-per-proc); the better choice when one
+/// side has few procs but many segments.
 DimAdjacency dim_adjacency_allpairs(const Decomposition& src,
                                     const Decomposition& dst, int d, i64 lo,
                                     i64 hi) {
@@ -139,38 +139,58 @@ namespace {
 std::vector<TransferVolume> volumes_from_adjacency(
     const std::vector<DimAdjacency>& per_dim, const Decomposition& src,
     const Decomposition& dst) {
+  using Row = std::vector<std::pair<i32, i64>>;
   const int nd = src.ndim();
+  // Row-major dst rank strides (last dimension fastest).
+  std::array<i64, kMaxDims> stride{};
+  i64 s = 1;
+  for (int d = nd - 1; d >= 0; --d) {
+    stride[static_cast<size_t>(d)] = s;
+    s *= dst.dim(d).nprocs;
+  }
+  // Src ranks cover the whole process grid, so the pair count is the
+  // product over dimensions of each dimension's adjacency entries.
+  u64 total = 1;
+  for (const DimAdjacency& dim : per_dim) {
+    u64 entries = 0;
+    for (const Row& row : dim.adj) entries += row.size();
+    total *= entries;
+  }
   std::vector<TransferVolume> out;
-  // Enumerate src ranks; for each, walk the product of its per-dim adjacency
-  // lists, so only non-zero (src, dst) pairs are ever touched.
+  out.reserve(total);
+  // Enumerate src ranks; for each, walk the product of its per-dim
+  // adjacency lists as an odometer, so only non-zero (src, dst) pairs are
+  // touched. rank[d] and cells[d] hold the dst rank and cell product of
+  // dimensions before d, so a step recomputes only the dimensions it
+  // changed: O(1) per volume in the common case.
+  std::array<const Row*, kMaxDims> rows{};
+  std::array<size_t, kMaxDims> idx{};
+  std::array<i64, kMaxDims + 1> rank{};
+  std::array<u64, kMaxDims + 1> cells{};
+  cells[0] = 1;
   for (i32 sa = 0; sa < src.ntasks(); ++sa) {
     const Point ga = src.rank_to_grid(sa);
-    // Gather this rank's per-dim adjacency rows; empty row => no overlap.
     bool empty = false;
-    std::array<const std::vector<std::pair<i32, i64>>*, kMaxDims> rows{};
-    for (int d = 0; d < nd; ++d) {
+    for (int d = 0; d < nd && !empty; ++d) {
       rows[static_cast<size_t>(d)] =
-          &per_dim[static_cast<size_t>(d)]
-               .adj[static_cast<size_t>(ga[d])];
-      if (rows[static_cast<size_t>(d)]->empty()) {
-        empty = true;
-        break;
-      }
+          &per_dim[static_cast<size_t>(d)].adj[static_cast<size_t>(ga[d])];
+      empty = rows[static_cast<size_t>(d)]->empty();
     }
     if (empty) continue;
-    std::array<size_t, kMaxDims> idx{};
+    int d = 0;  // idx is all zero: the previous walk wrapped every digit
     for (;;) {
-      u64 cells = 1;
-      Point gb = Point::zeros(nd);
-      for (int d = 0; d < nd; ++d) {
+      for (; d < nd; ++d) {
         const auto& [rb, cnt] =
             (*rows[static_cast<size_t>(d)])[idx[static_cast<size_t>(d)]];
-        gb[d] = rb;
-        cells *= static_cast<u64>(cnt);
+        rank[static_cast<size_t>(d) + 1] =
+            rank[static_cast<size_t>(d)] + rb * stride[static_cast<size_t>(d)];
+        cells[static_cast<size_t>(d) + 1] =
+            cells[static_cast<size_t>(d)] * static_cast<u64>(cnt);
       }
-      out.push_back(TransferVolume{sa, dst.grid_to_rank(gb), cells});
-      int d = nd - 1;
-      for (; d >= 0; --d) {
+      out.push_back(TransferVolume{
+          sa, static_cast<i32>(rank[static_cast<size_t>(nd)]),
+          cells[static_cast<size_t>(nd)]});
+      for (d = nd - 1; d >= 0; --d) {
         if (++idx[static_cast<size_t>(d)] <
             rows[static_cast<size_t>(d)]->size())
           break;
@@ -196,23 +216,6 @@ std::vector<TransferVolume> redistribution_volumes(
   per_dim.reserve(static_cast<size_t>(nd));
   for (int d = 0; d < nd; ++d) {
     per_dim.push_back(dim_adjacency(src, dst, d, window.lb[d], window.ub[d]));
-  }
-  return volumes_from_adjacency(per_dim, src, dst);
-}
-
-std::vector<TransferVolume> redistribution_volumes_allpairs(
-    const Decomposition& src, const Decomposition& dst,
-    const std::optional<Box>& region) {
-  CODS_REQUIRE(src.ndim() == dst.ndim(),
-               "coupled decompositions must share dimensionality");
-  const int nd = src.ndim();
-  const Box window = region ? *region : src.domain_box();
-  CODS_REQUIRE(window.ndim() == nd, "region dimensionality mismatch");
-  std::vector<DimAdjacency> per_dim;
-  per_dim.reserve(static_cast<size_t>(nd));
-  for (int d = 0; d < nd; ++d) {
-    per_dim.push_back(
-        dim_adjacency_allpairs(src, dst, d, window.lb[d], window.ub[d]));
   }
   return volumes_from_adjacency(per_dim, src, dst);
 }

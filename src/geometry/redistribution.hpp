@@ -27,16 +27,6 @@ std::vector<TransferVolume> redistribution_volumes(
     const Decomposition& src, const Decomposition& dst,
     const std::optional<Box>& region = std::nullopt);
 
-/// Reference implementation of redistribution_volumes that always builds
-/// the per-dimension adjacency by enumerating all (src proc, dst proc)
-/// pairs. The production build sorts each side's owned segments once and
-/// merges them with a two-pointer sweep; this oracle pins the outputs
-/// equal (tests/geometry/test_redistribution_sweep.cpp) and anchors the
-/// micro benchmark.
-std::vector<TransferVolume> redistribution_volumes_allpairs(
-    const Decomposition& src, const Decomposition& dst,
-    const std::optional<Box>& region = std::nullopt);
-
 /// Exact overlap region between task `sa` of `src` and task `db` of `dst`,
 /// as a list of disjoint boxes (Cartesian product of per-dim intersected
 /// segments). Used on the live data path to move real cells.

@@ -1,7 +1,6 @@
 #include "partition/graph.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace cods {
 
@@ -9,14 +8,15 @@ Graph Graph::from_edges(i32 nvtx,
                         const std::vector<std::tuple<i32, i32, i64>>& edges,
                         std::vector<i64> vertex_weights) {
   CODS_REQUIRE(nvtx >= 0, "vertex count must be non-negative");
-  // Merge parallel edges.
-  std::map<std::pair<i32, i32>, i64> merged;
+  // Bucket both directions of every kept edge by source (a counting sort).
+  std::vector<i64> start(static_cast<size_t>(nvtx) + 1, 0);
   for (const auto& [u, v, w] : edges) {
     CODS_REQUIRE(u >= 0 && u < nvtx && v >= 0 && v < nvtx,
                  "edge endpoint out of range");
     CODS_REQUIRE(w >= 0, "edge weight must be non-negative");
     if (u == v || w == 0) continue;
-    merged[{std::min(u, v), std::max(u, v)}] += w;
+    ++start[static_cast<size_t>(u) + 1];
+    ++start[static_cast<size_t>(v) + 1];
   }
   Graph g;
   g.nvtx = nvtx;
@@ -27,25 +27,37 @@ Graph Graph::from_edges(i32 nvtx,
                  "vertex weight size mismatch");
     g.vwgt = std::move(vertex_weights);
   }
-  std::vector<i64> deg(static_cast<size_t>(nvtx), 0);
-  for (const auto& [key, w] : merged) {
-    ++deg[static_cast<size_t>(key.first)];
-    ++deg[static_cast<size_t>(key.second)];
-  }
-  g.xadj.assign(static_cast<size_t>(nvtx) + 1, 0);
   for (i32 v = 0; v < nvtx; ++v) {
-    g.xadj[static_cast<size_t>(v) + 1] =
-        g.xadj[static_cast<size_t>(v)] + deg[static_cast<size_t>(v)];
+    start[static_cast<size_t>(v) + 1] += start[static_cast<size_t>(v)];
   }
-  g.adjncy.resize(static_cast<size_t>(g.xadj.back()));
-  g.adjwgt.resize(static_cast<size_t>(g.xadj.back()));
-  std::vector<i64> fill(g.xadj.begin(), g.xadj.end() - 1);
-  for (const auto& [key, w] : merged) {
-    const auto [u, v] = key;
-    g.adjncy[static_cast<size_t>(fill[static_cast<size_t>(u)])] = v;
-    g.adjwgt[static_cast<size_t>(fill[static_cast<size_t>(u)]++)] = w;
-    g.adjncy[static_cast<size_t>(fill[static_cast<size_t>(v)])] = u;
-    g.adjwgt[static_cast<size_t>(fill[static_cast<size_t>(v)]++)] = w;
+  std::vector<std::pair<i32, i64>> bucket(
+      static_cast<size_t>(start.back()));
+  std::vector<i64> fill(start.begin(), start.end() - 1);
+  for (const auto& [u, v, w] : edges) {
+    if (u == v || w == 0) continue;
+    bucket[static_cast<size_t>(fill[static_cast<size_t>(u)]++)] = {v, w};
+    bucket[static_cast<size_t>(fill[static_cast<size_t>(v)]++)] = {u, w};
+  }
+  // Each row ascending by neighbour, parallel edges summed.
+  g.xadj.assign(static_cast<size_t>(nvtx) + 1, 0);
+  g.adjncy.reserve(bucket.size());
+  g.adjwgt.reserve(bucket.size());
+  for (i32 v = 0; v < nvtx; ++v) {
+    const auto first = bucket.begin() + start[static_cast<size_t>(v)];
+    const auto last = bucket.begin() + start[static_cast<size_t>(v) + 1];
+    std::sort(first, last, [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    const size_t row = g.adjncy.size();
+    for (auto it = first; it != last; ++it) {
+      if (g.adjncy.size() > row && g.adjncy.back() == it->first) {
+        g.adjwgt.back() += it->second;
+      } else {
+        g.adjncy.push_back(it->first);
+        g.adjwgt.push_back(it->second);
+      }
+    }
+    g.xadj[static_cast<size_t>(v) + 1] = static_cast<i64>(g.adjncy.size());
   }
   return g;
 }

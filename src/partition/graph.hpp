@@ -21,8 +21,9 @@ struct Graph {
   std::vector<i64> adjwgt;  ///< edge weights, parallel to adjncy
   std::vector<i64> vwgt;    ///< vertex weights, size nvtx
 
-  /// Builds a graph from an edge list; parallel edges are merged by summing
-  /// weights, self-loops are dropped. Vertex weights default to 1.
+  /// Builds a graph from an edge list: each row ascending by neighbour,
+  /// parallel edges (either orientation) merged by summing weights,
+  /// self-loops and zero-weight edges dropped. Vertex weights default to 1.
   static Graph from_edges(i32 nvtx,
                           const std::vector<std::tuple<i32, i32, i64>>& edges,
                           std::vector<i64> vertex_weights = {});

@@ -32,6 +32,8 @@ std::optional<CoarseLevel> coarsen_once(const Graph& g, i64 merge_cap,
   std::vector<i32> match(static_cast<size_t>(g.nvtx), -1);
   i32 ncoarse = 0;
   std::vector<i32> fine_to_coarse(static_cast<size_t>(g.nvtx), -1);
+  std::vector<i32> first_member;  // per coarse vertex; its mate is match[]
+  first_member.reserve(static_cast<size_t>(g.nvtx));
   for (i32 v : order) {
     if (match[static_cast<size_t>(v)] != -1) continue;
     i32 best = -1;
@@ -53,35 +55,75 @@ std::optional<CoarseLevel> coarsen_once(const Graph& g, i64 merge_cap,
       match[static_cast<size_t>(best)] = v;
       fine_to_coarse[static_cast<size_t>(v)] = ncoarse;
       fine_to_coarse[static_cast<size_t>(best)] = ncoarse;
-      ++ncoarse;
     } else {
       match[static_cast<size_t>(v)] = v;
       fine_to_coarse[static_cast<size_t>(v)] = ncoarse;
-      ++ncoarse;
     }
+    first_member.push_back(v);
+    ++ncoarse;
   }
   if (ncoarse >= g.nvtx * 9 / 10) return std::nullopt;  // stalled
 
-  std::vector<i64> cvwgt(static_cast<size_t>(ncoarse), 0);
-  for (i32 v = 0; v < g.nvtx; ++v) {
-    cvwgt[static_cast<size_t>(fine_to_coarse[static_cast<size_t>(v)])] +=
-        g.vwgt[static_cast<size_t>(v)];
-  }
-  std::vector<std::tuple<i32, i32, i64>> cedges;
-  cedges.reserve(g.adjncy.size() / 2);
-  for (i32 v = 0; v < g.nvtx; ++v) {
-    const i32 cv = fine_to_coarse[static_cast<size_t>(v)];
-    for (i64 e = g.xadj[static_cast<size_t>(v)];
-         e < g.xadj[static_cast<size_t>(v) + 1]; ++e) {
-      const i32 cu =
-          fine_to_coarse[static_cast<size_t>(g.adjncy[static_cast<size_t>(e)])];
-      if (cv < cu) {  // each undirected edge once
-        cedges.emplace_back(cv, cu, g.adjwgt[static_cast<size_t>(e)]);
+  // Each coarse row merges its (at most two) members' rows, unsorted: a
+  // dense marker holds each neighbour's slot in the row being built.
+  CoarseLevel level;
+  Graph& cg = level.graph;
+  cg.nvtx = ncoarse;
+  cg.vwgt.assign(static_cast<size_t>(ncoarse), 0);
+  cg.xadj.assign(static_cast<size_t>(ncoarse) + 1, 0);
+  std::vector<i32> adjncy;
+  std::vector<i64> adjwgt;
+  adjncy.reserve(g.adjncy.size());
+  adjwgt.reserve(g.adjncy.size());
+  std::vector<i64> slot(static_cast<size_t>(ncoarse), -1);
+  for (i32 c = 0; c < ncoarse; ++c) {
+    const i32 v = first_member[static_cast<size_t>(c)];
+    const i32 mate = match[static_cast<size_t>(v)];
+    const i64 row = static_cast<i64>(adjncy.size());
+    for (const i32 m : {v, mate}) {
+      cg.vwgt[static_cast<size_t>(c)] += g.vwgt[static_cast<size_t>(m)];
+      for (i64 e = g.xadj[static_cast<size_t>(m)];
+           e < g.xadj[static_cast<size_t>(m) + 1]; ++e) {
+        const i32 cu = fine_to_coarse[static_cast<size_t>(
+            g.adjncy[static_cast<size_t>(e)])];
+        if (cu == c) continue;
+        i64& at = slot[static_cast<size_t>(cu)];
+        if (at < 0) {
+          at = static_cast<i64>(adjncy.size());
+          adjncy.push_back(cu);
+          adjwgt.push_back(0);
+        }
+        adjwgt[static_cast<size_t>(at)] += g.adjwgt[static_cast<size_t>(e)];
       }
+      if (mate == v) break;
+    }
+    // Reset the marker and drop zero-weight entries, as from_edges does.
+    i64 kept = row;
+    for (i64 i = row; i < static_cast<i64>(adjncy.size()); ++i) {
+      slot[static_cast<size_t>(adjncy[static_cast<size_t>(i)])] = -1;
+      if (adjwgt[static_cast<size_t>(i)] == 0) continue;
+      adjncy[static_cast<size_t>(kept)] = adjncy[static_cast<size_t>(i)];
+      adjwgt[static_cast<size_t>(kept++)] = adjwgt[static_cast<size_t>(i)];
+    }
+    adjncy.resize(static_cast<size_t>(kept));
+    adjwgt.resize(static_cast<size_t>(kept));
+    cg.xadj[static_cast<size_t>(c) + 1] = kept;
+  }
+  // The coarse graph is symmetric, so its transpose is itself with every
+  // row ascending by neighbour: scattering row c into its neighbours' rows
+  // in ascending c gives the CSR Graph::from_edges builds from the
+  // contracted edge list.
+  cg.adjncy.resize(adjncy.size());
+  cg.adjwgt.resize(adjwgt.size());
+  std::vector<i64> fill(cg.xadj.begin(), cg.xadj.end() - 1);
+  for (i32 c = 0; c < ncoarse; ++c) {
+    for (i64 i = cg.xadj[static_cast<size_t>(c)];
+         i < cg.xadj[static_cast<size_t>(c) + 1]; ++i) {
+      i64& at = fill[static_cast<size_t>(adjncy[static_cast<size_t>(i)])];
+      cg.adjncy[static_cast<size_t>(at)] = c;
+      cg.adjwgt[static_cast<size_t>(at++)] = adjwgt[static_cast<size_t>(i)];
     }
   }
-  CoarseLevel level;
-  level.graph = Graph::from_edges(ncoarse, cedges, std::move(cvwgt));
   level.fine_to_coarse = std::move(fine_to_coarse);
   return level;
 }
@@ -121,9 +163,14 @@ std::vector<i32> initial_partition(const Graph& g, i32 nparts, i64 cap,
     return seed_cursor < perm.size() ? perm[seed_cursor] : -1;
   };
 
+  // Connectivity of unassigned vertices to the growing region; every
+  // non-zero entry of an unassigned vertex is on the frontier, so clearing
+  // the frontier's entries resets it for the next region.
+  std::vector<i64> connectivity(static_cast<size_t>(g.nvtx), 0);
+  std::vector<i32> frontier;
   for (i32 p = 0; p < nparts && assigned < g.nvtx; ++p) {
-    std::vector<i64> connectivity(static_cast<size_t>(g.nvtx), 0);
-    std::vector<i32> frontier;
+    for (i32 u : frontier) connectivity[static_cast<size_t>(u)] = 0;
+    frontier.clear();
     auto add_to_region = [&](i32 v) {
       part[static_cast<size_t>(v)] = p;
       weight[static_cast<size_t>(p)] += g.vwgt[static_cast<size_t>(v)];
@@ -192,48 +239,93 @@ std::vector<i32> initial_partition(const Graph& g, i32 nparts, i64 cap,
   return part;
 }
 
-/// Per-vertex connectivity to each neighbouring part: a small vector of
-/// (part, summed edge weight), ascending by part, entries > 0 only.
-using PartConn = std::vector<std::pair<i32, i64>>;
+/// Per-vertex connectivity to each neighbouring part: (part, summed edge
+/// weight) entries, ascending by part, weights > 0 only. Every row lives
+/// in one flat array, vertex v's in slots [xadj[v], xadj[v] + deg(v)):
+/// each entry has a neighbour in its part, so deg(v) slots always suffice.
+class PartConn {
+ public:
+  using Entry = std::pair<i32, i64>;
 
-void conn_add(PartConn& row, i32 p, i64 w) {
-  auto it = std::lower_bound(
-      row.begin(), row.end(), p,
-      [](const std::pair<i32, i64>& a, i32 b) { return a.first < b; });
-  if (it != row.end() && it->first == p) {
-    it->second += w;
-    if (it->second == 0) row.erase(it);
-  } else {
-    row.insert(it, {p, w});
+  /// Every vertex's row under `part`, merged through a dense marker that
+  /// holds each part's slot in the row being built.
+  PartConn(const Graph& g, std::span<const i32> part, i32 nparts)
+      : xadj_(g.xadj), slots_(g.adjncy.size()),
+        size_(static_cast<size_t>(g.nvtx), 0) {
+    std::vector<i32> at(static_cast<size_t>(nparts), -1);
+    for (i32 v = 0; v < g.nvtx; ++v) {
+      Entry* first = slots_.data() + xadj_[static_cast<size_t>(v)];
+      i32& size = size_[static_cast<size_t>(v)];
+      for (i64 e = g.xadj[static_cast<size_t>(v)];
+           e < g.xadj[static_cast<size_t>(v) + 1]; ++e) {
+        const i64 w = g.adjwgt[static_cast<size_t>(e)];
+        if (w == 0) continue;
+        const i32 p =
+            part[static_cast<size_t>(g.adjncy[static_cast<size_t>(e)])];
+        i32& slot = at[static_cast<size_t>(p)];
+        if (slot < 0) {
+          slot = size++;
+          first[slot] = {p, 0};
+        }
+        first[slot].second += w;
+      }
+      for (i32 i = 0; i < size; ++i) {
+        at[static_cast<size_t>(first[i].first)] = -1;
+      }
+      std::sort(first, first + size);
+    }
   }
-}
 
-i64 conn_to(const PartConn& row, i32 p) {
-  auto it = std::lower_bound(
-      row.begin(), row.end(), p,
-      [](const std::pair<i32, i64>& a, i32 b) { return a.first < b; });
-  return (it != row.end() && it->first == p) ? it->second : 0;
-}
+  std::span<const Entry> row(i32 v) const {
+    return {slots_.data() + xadj_[static_cast<size_t>(v)],
+            static_cast<size_t>(size_[static_cast<size_t>(v)])};
+  }
+
+  i64 to(i32 v, i32 p) const {
+    const auto r = row(v);
+    const auto it = std::lower_bound(r.begin(), r.end(), p, by_part);
+    return (it != r.end() && it->first == p) ? it->second : 0;
+  }
+
+  /// Adds `w` (non-zero) to v's entry for part p, dropping it at zero.
+  void add(i32 v, i32 p, i64 w) {
+    Entry* first = slots_.data() + xadj_[static_cast<size_t>(v)];
+    i32& size = size_[static_cast<size_t>(v)];
+    Entry* last = first + size;
+    Entry* it = std::lower_bound(first, last, p, by_part);
+    if (it != last && it->first == p) {
+      it->second += w;
+      if (it->second == 0) {
+        std::copy(it + 1, last, it);
+        --size;
+      }
+    } else {
+      std::copy_backward(it, last, last + 1);
+      *it = {p, w};
+      ++size;
+    }
+  }
+
+ private:
+  static bool by_part(const Entry& a, i32 b) { return a.first < b; }
+
+  const std::vector<i64>& xadj_;
+  std::vector<Entry> slots_;
+  std::vector<i32> size_;
+};
 
 /// Greedy boundary refinement (FM-style single-vertex moves) with
 /// incrementally maintained gains: each vertex's part-connectivity row is
 /// built once, O(E), and a move only touches the mover's neighbours'
 /// rows. Interior vertices — one row entry, their own part — are
 /// rejected in O(1) per pass instead of re-scanning their edges, which
-/// is most of the graph once the partition is locally good.
+/// is most of the graph once the partition is locally good. Zero-weight
+/// edges carry no gain and are left out of the rows.
 void refine(const Graph& g, std::vector<i32>& part, i32 nparts, i64 cap,
             Rng& rng) {
   if (nparts <= 1 || g.nvtx == 0) return;
   std::vector<i64> weight = part_weights(g, part, nparts);
-  std::vector<PartConn> conn(static_cast<size_t>(g.nvtx));
-  for (i32 v = 0; v < g.nvtx; ++v) {
-    for (i64 e = g.xadj[static_cast<size_t>(v)];
-         e < g.xadj[static_cast<size_t>(v) + 1]; ++e) {
-      conn_add(conn[static_cast<size_t>(v)],
-               part[static_cast<size_t>(g.adjncy[static_cast<size_t>(e)])],
-               g.adjwgt[static_cast<size_t>(e)]);
-    }
-  }
+  PartConn conn(g, part, nparts);
   std::vector<i32> order(static_cast<size_t>(g.nvtx));
   std::iota(order.begin(), order.end(), 0);
   for (int pass = 0; pass < kRefinePasses; ++pass) {
@@ -241,10 +333,10 @@ void refine(const Graph& g, std::vector<i32>& part, i32 nparts, i64 cap,
     bool moved = false;
     for (i32 v : order) {
       const i32 from = part[static_cast<size_t>(v)];
-      const PartConn& row = conn[static_cast<size_t>(v)];
+      const auto row = conn.row(v);
       if (row.empty()) continue;  // isolated vertex: no gain anywhere
       if (row.size() == 1 && row.front().first == from) continue;  // interior
-      const i64 conn_from = conn_to(row, from);
+      const i64 conn_from = conn.to(v, from);
       i32 best = from;
       i64 best_gain = 0;
       for (const auto& [p, w] : row) {
@@ -269,10 +361,11 @@ void refine(const Graph& g, std::vector<i32>& part, i32 nparts, i64 cap,
         weight[static_cast<size_t>(best)] += g.vwgt[static_cast<size_t>(v)];
         for (i64 e = g.xadj[static_cast<size_t>(v)];
              e < g.xadj[static_cast<size_t>(v) + 1]; ++e) {
-          PartConn& u_row =
-              conn[static_cast<size_t>(g.adjncy[static_cast<size_t>(e)])];
-          conn_add(u_row, from, -g.adjwgt[static_cast<size_t>(e)]);
-          conn_add(u_row, best, g.adjwgt[static_cast<size_t>(e)]);
+          const i64 w = g.adjwgt[static_cast<size_t>(e)];
+          if (w == 0) continue;
+          const i32 u = g.adjncy[static_cast<size_t>(e)];
+          conn.add(u, from, -w);
+          conn.add(u, best, w);
         }
         moved = true;
       }
@@ -281,50 +374,95 @@ void refine(const Graph& g, std::vector<i32>& part, i32 nparts, i64 cap,
   }
 }
 
-/// Moves vertices out of overfull parts until the capacity holds.
+/// Moves vertices out of overfull parts until the capacity holds. Each
+/// move takes, from the lowest-index overfull part, the (vertex, part)
+/// pair with the least cut increase, the first in ascending (vertex,
+/// part) order among equals. A move never fills a part past the cap, so
+/// the overfull parts are repaired in index order.
 void repair_capacity(const Graph& g, std::vector<i32>& part, i32 nparts,
                      i64 cap) {
   std::vector<i64> weight = part_weights(g, part, nparts);
-  for (;;) {
-    i32 over = -1;
-    for (i32 p = 0; p < nparts; ++p) {
-      if (weight[static_cast<size_t>(p)] > cap) {
-        over = p;
-        break;
-      }
+  std::vector<std::vector<i32>> members(static_cast<size_t>(nparts));
+  for (i32 v = 0; v < g.nvtx; ++v) {
+    members[static_cast<size_t>(part[static_cast<size_t>(v)])].push_back(v);
+  }
+  // Parts the lightest vertex still fits, ascending: every destination.
+  const i64 room =
+      cap - (g.nvtx == 0 ? 0 : *std::min_element(g.vwgt.begin(), g.vwgt.end()));
+  std::vector<i32> open;
+  for (i32 p = 0; p < nparts; ++p) {
+    if (weight[static_cast<size_t>(p)] <= room) open.push_back(p);
+  }
+  const auto reopen = [&](i32 p) {
+    const auto it = std::lower_bound(open.begin(), open.end(), p);
+    const bool listed = it != open.end() && *it == p;
+    if (weight[static_cast<size_t>(p)] <= room) {
+      if (!listed) open.insert(it, p);
+    } else if (listed) {
+      open.erase(it);
     }
-    if (over < 0) return;
-    // Cheapest vertex (by cut increase) in the overfull part that fits a
-    // destination part.
-    i32 best_v = -1;
-    i32 best_p = -1;
-    i64 best_cost = 0;
-    for (i32 v = 0; v < g.nvtx; ++v) {
-      if (part[static_cast<size_t>(v)] != over) continue;
-      for (i32 p = 0; p < nparts; ++p) {
-        if (p == over) continue;
-        if (weight[static_cast<size_t>(p)] + g.vwgt[static_cast<size_t>(v)] >
-            cap)
-          continue;
-        i64 cost = 0;
+  };
+  std::vector<i64> conn(static_cast<size_t>(nparts), 0);
+  std::vector<i32> touched;
+  for (i32 over = 0; over < nparts; ++over) {
+    while (weight[static_cast<size_t>(over)] > cap) {
+      i32 best_v = -1;
+      i32 best_p = -1;
+      i64 best_cost = 0;
+      for (i32 v : members[static_cast<size_t>(over)]) {
+        const i64 vw = g.vwgt[static_cast<size_t>(v)];
         for (i64 e = g.xadj[static_cast<size_t>(v)];
              e < g.xadj[static_cast<size_t>(v) + 1]; ++e) {
           const i32 q =
               part[static_cast<size_t>(g.adjncy[static_cast<size_t>(e)])];
-          if (q == over) cost += g.adjwgt[static_cast<size_t>(e)];
-          if (q == p) cost -= g.adjwgt[static_cast<size_t>(e)];
+          if (conn[static_cast<size_t>(q)] == 0) touched.push_back(q);
+          conn[static_cast<size_t>(q)] += g.adjwgt[static_cast<size_t>(e)];
         }
-        if (best_v < 0 || cost < best_cost) {
+        // Moving v to p costs conn[over] - conn[p]: parts v has no weight
+        // to all cost conn[over], so only the first open one competes.
+        const i64 base = conn[static_cast<size_t>(over)];
+        const auto fits = [&](i32 p) {
+          return p != over && weight[static_cast<size_t>(p)] + vw <= cap;
+        };
+        i32 p_v = -1;
+        i64 cost_v = 0;
+        const auto consider = [&](i32 p, i64 cost) {
+          if (p_v < 0 || cost < cost_v || (cost == cost_v && p < p_v)) {
+            p_v = p;
+            cost_v = cost;
+          }
+        };
+        for (i32 q : touched) {
+          if (conn[static_cast<size_t>(q)] != 0 && fits(q)) {
+            consider(q, base - conn[static_cast<size_t>(q)]);
+          }
+        }
+        for (i32 p : open) {
+          if (conn[static_cast<size_t>(p)] == 0 && fits(p)) {
+            consider(p, base);
+            break;
+          }
+        }
+        for (i32 q : touched) conn[static_cast<size_t>(q)] = 0;
+        touched.clear();
+        if (p_v >= 0 && (best_v < 0 || cost_v < best_cost)) {
           best_v = v;
-          best_p = p;
-          best_cost = cost;
+          best_p = p_v;
+          best_cost = cost_v;
         }
       }
+      CODS_CHECK(best_v >= 0, "capacity repair failed (infeasible instance)");
+      const i64 vw = g.vwgt[static_cast<size_t>(best_v)];
+      weight[static_cast<size_t>(over)] -= vw;
+      weight[static_cast<size_t>(best_p)] += vw;
+      part[static_cast<size_t>(best_v)] = best_p;
+      auto& from = members[static_cast<size_t>(over)];
+      from.erase(std::lower_bound(from.begin(), from.end(), best_v));
+      auto& to = members[static_cast<size_t>(best_p)];
+      to.insert(std::lower_bound(to.begin(), to.end(), best_v), best_v);
+      reopen(over);
+      reopen(best_p);
     }
-    CODS_CHECK(best_v >= 0, "capacity repair failed (infeasible instance)");
-    weight[static_cast<size_t>(over)] -= g.vwgt[static_cast<size_t>(best_v)];
-    weight[static_cast<size_t>(best_p)] += g.vwgt[static_cast<size_t>(best_v)];
-    part[static_cast<size_t>(best_v)] = best_p;
   }
 }
 
@@ -374,6 +512,9 @@ PartitionResult kway_partition(const Graph& g, i32 nparts,
                "infeasible: total vertex weight exceeds total capacity");
   for (i64 w : g.vwgt) {
     CODS_REQUIRE(w <= cap, "a single vertex exceeds the part capacity");
+  }
+  for (i64 w : g.adjwgt) {
+    CODS_REQUIRE(w >= 0, "edge weight must be non-negative");
   }
 
   Rng rng(options.seed);

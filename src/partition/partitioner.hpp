@@ -34,7 +34,7 @@ struct PartitionResult {
 
 /// Partitions `g` into `nparts` parts. Throws if the capacity makes the
 /// instance infeasible (total weight > nparts * max_part_weight, or one
-/// vertex heavier than max_part_weight).
+/// vertex heavier than max_part_weight) or an edge weight is negative.
 PartitionResult kway_partition(const Graph& g, i32 nparts,
                                PartitionOptions options = {});
 

@@ -135,6 +135,11 @@ Placement round_robin_placement(const Cluster& cluster,
 }
 
 Graph bundle_comm_graph(const std::vector<AppSpec>& apps) {
+  return bundle_comm_graph(apps, CoupledVolumes{});
+}
+
+Graph bundle_comm_graph(const std::vector<AppSpec>& apps,
+                        const CoupledVolumes& known) {
   i32 total = 0;
   std::map<i32, i32> base;  // app id -> first vertex
   for (const AppSpec& app : apps) {
@@ -147,9 +152,17 @@ Graph bundle_comm_graph(const std::vector<AppSpec>& apps) {
       const AppSpec& src = apps[a];
       const AppSpec& dst = apps[b];
       const u64 elem = std::max(src.elem_size, dst.elem_size);
-      for (const TransferVolume& t : redistribution_volumes(src.dec, dst.dec)) {
-        edges.emplace_back(base[src.app_id] + t.src_rank,
-                           base[dst.app_id] + t.dst_rank,
+      const i32 src_base = base[src.app_id];
+      const i32 dst_base = base[dst.app_id];
+      const auto it = known.find({src.app_id, dst.app_id});
+      std::vector<TransferVolume> computed;
+      if (it == known.end()) {
+        computed = redistribution_volumes(src.dec, dst.dec);
+      }
+      const auto& volumes = it == known.end() ? computed : it->second;
+      edges.reserve(edges.size() + volumes.size());
+      for (const TransferVolume& t : volumes) {
+        edges.emplace_back(src_base + t.src_rank, dst_base + t.dst_rank,
                            static_cast<i64>(t.cells * elem));
       }
     }
@@ -160,7 +173,14 @@ Graph bundle_comm_graph(const std::vector<AppSpec>& apps) {
 ServerMappingResult server_data_centric_placement(
     const Cluster& cluster, const std::vector<AppSpec>& apps, u64 seed,
     std::vector<i32> nodes) {
-  const Graph graph = bundle_comm_graph(apps);
+  return server_data_centric_placement(cluster, apps, CoupledVolumes{}, seed,
+                                       std::move(nodes));
+}
+
+ServerMappingResult server_data_centric_placement(
+    const Cluster& cluster, const std::vector<AppSpec>& apps,
+    const CoupledVolumes& known, u64 seed, std::vector<i32> nodes) {
+  const Graph graph = bundle_comm_graph(apps, known);
   const i32 cores = cluster.cores_per_node();
   const i32 nparts = (graph.nvtx + cores - 1) / cores;
   if (nodes.empty()) {
@@ -203,10 +223,16 @@ ServerMappingResult server_data_centric_placement(
 std::vector<NodeBytes> consumer_node_bytes(const AppSpec& producer,
                                            const Placement& producer_placement,
                                            const AppSpec& consumer) {
+  return consumer_node_bytes(redistribution_volumes(producer.dec, consumer.dec),
+                             producer, producer_placement, consumer);
+}
+
+std::vector<NodeBytes> consumer_node_bytes(
+    const std::vector<TransferVolume>& volumes, const AppSpec& producer,
+    const Placement& producer_placement, const AppSpec& consumer) {
   std::vector<NodeBytes> out(static_cast<size_t>(consumer.ntasks()));
   const u64 elem = consumer.elem_size;
-  for (const TransferVolume& t :
-       redistribution_volumes(producer.dec, consumer.dec)) {
+  for (const TransferVolume& t : volumes) {
     const CoreLoc loc =
         producer_placement.loc(TaskId{producer.app_id, t.src_rank});
     out[static_cast<size_t>(t.dst_rank)][loc.node] += t.cells * elem;

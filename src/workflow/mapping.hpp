@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "geometry/redistribution.hpp"
 #include "partition/partitioner.hpp"
 #include "platform/cluster.hpp"
 #include "workflow/dag.hpp"
@@ -113,6 +114,16 @@ Placement round_robin_placement(const Cluster& cluster,
 /// data overlap, weighted in bytes.
 Graph bundle_comm_graph(const std::vector<AppSpec>& apps);
 
+/// Transfer volumes a caller already computed, keyed by (src app id, dst
+/// app id): the redistribution_volumes(src.dec, dst.dec) of that pair.
+using CoupledVolumes =
+    std::map<std::pair<i32, i32>, std::vector<TransferVolume>>;
+
+/// The same graph, taking each app pair's volumes from `known` when it
+/// holds them.
+Graph bundle_comm_graph(const std::vector<AppSpec>& apps,
+                        const CoupledVolumes& known);
+
 struct ServerMappingResult {
   Placement placement;
   i64 edge_cut_bytes = 0;  ///< coupled bytes forced across nodes
@@ -125,6 +136,11 @@ ServerMappingResult server_data_centric_placement(
     const Cluster& cluster, const std::vector<AppSpec>& apps, u64 seed = 1,
     std::vector<i32> nodes = {});
 
+/// The same mapping, building the bundle graph with `known` volumes.
+ServerMappingResult server_data_centric_placement(
+    const Cluster& cluster, const std::vector<AppSpec>& apps,
+    const CoupledVolumes& known, u64 seed, std::vector<i32> nodes = {});
+
 /// Per-consumer-task data histogram: node id -> bytes of the task's
 /// required region stored on that node.
 using NodeBytes = std::map<i32, u64>;
@@ -136,6 +152,11 @@ using NodeBytes = std::map<i32, u64>;
 std::vector<NodeBytes> consumer_node_bytes(const AppSpec& producer,
                                            const Placement& producer_placement,
                                            const AppSpec& consumer);
+
+/// The same histograms from the producer -> consumer `volumes`.
+std::vector<NodeBytes> consumer_node_bytes(
+    const std::vector<TransferVolume>& volumes, const AppSpec& producer,
+    const Placement& producer_placement, const AppSpec& consumer);
 
 /// Greedy locality placement: tasks (in order) go to the allowed node with
 /// the most local bytes that still has a free core; ties and fallbacks go

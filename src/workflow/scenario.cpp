@@ -69,6 +69,17 @@ ScenarioResult run_modeled_scenario(const ScenarioConfig& config) {
   const auto producers = producer_apps(config);
   const auto consumers = consumer_apps(config);
 
+  // Each coupled pair's producer -> consumer volumes, computed once and
+  // shared by the bundle graph, the client node bytes and the flows.
+  CoupledVolumes volumes;
+  for (const CouplingEdge& edge : config.couplings) {
+    const std::pair key{edge.producer, edge.consumer};
+    if (volumes.contains(key)) continue;
+    volumes.emplace(
+        key, redistribution_volumes(find_app(config, edge.producer).dec,
+                                    find_app(config, edge.consumer).dec));
+  }
+
   // ----- Placement -----
   if (!config.sequential) {
     // Concurrent bundle: all apps scheduled together.
@@ -83,7 +94,8 @@ ScenarioResult run_modeled_scenario(const ScenarioConfig& config) {
       }
     } else {
       const ServerMappingResult server =
-          server_data_centric_placement(cluster, config.apps, config.seed);
+          server_data_centric_placement(cluster, config.apps, volumes,
+                                        config.seed);
       result.comm_graph_cut_bytes = server.edge_cut_bytes;
       for (const AppSpec& app : config.apps) {
         Placement p;
@@ -128,7 +140,8 @@ ScenarioResult run_modeled_scenario(const ScenarioConfig& config) {
           if (edge.consumer != consumer.app_id) continue;
           const AppSpec& producer = find_app(config, edge.producer);
           const auto part = consumer_node_bytes(
-              producer, result.placements.at(producer.app_id), consumer);
+              volumes.at({producer.app_id, consumer.app_id}), producer,
+              result.placements.at(producer.app_id), consumer);
           for (i32 r = 0; r < consumer.ntasks(); ++r) {
             for (const auto& [node, b] : part[static_cast<size_t>(r)]) {
               bytes[static_cast<size_t>(r)][node] += b;
@@ -186,6 +199,16 @@ ScenarioResult run_modeled_scenario(const ScenarioConfig& config) {
   };
 
   std::map<i32, std::vector<Flow>> consumer_flows;
+  {
+    std::map<i32, size_t> flow_count;
+    for (const CouplingEdge& edge : config.couplings) {
+      flow_count[edge.consumer] +=
+          volumes.at({edge.producer, edge.consumer}).size();
+    }
+    for (const auto& [app_id, count] : flow_count) {
+      consumer_flows[app_id].reserve(count);
+    }
+  }
   for (const CouplingEdge& edge : config.couplings) {
     const AppSpec& producer = find_app(config, edge.producer);
     const AppSpec& consumer = find_app(config, edge.consumer);
@@ -196,7 +219,7 @@ ScenarioResult run_modeled_scenario(const ScenarioConfig& config) {
     auto& flows = consumer_flows[consumer.app_id];
     CODS_REQUIRE(edge.fields >= 1, "coupling needs at least one field");
     for (const TransferVolume& t :
-         redistribution_volumes(producer.dec, consumer.dec)) {
+         volumes.at({producer.app_id, consumer.app_id})) {
       CoreLoc src = pp.loc(TaskId{producer.app_id, t.src_rank});
       if (config.sequential) src.core = 0;  // node storage service
       const CoreLoc dst = cp.loc(TaskId{consumer.app_id, t.dst_rank});
@@ -219,6 +242,7 @@ ScenarioResult run_modeled_scenario(const ScenarioConfig& config) {
       flows.push_back(Flow{src, dst, bytes});
     }
   }
+  volumes.clear();  // the flows were their last user
 
   // ----- Retrieve times (consumers pull concurrently; concurrent consumer
   // apps contend with each other: paper Fig. 11/16) -----

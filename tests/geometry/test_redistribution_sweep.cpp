@@ -1,13 +1,15 @@
-// Property tests pinning the sweep-based redistribution build to the
-// naive all-pairs oracle: for randomized decomposition pairs the two
-// must produce *identical* transfer lists — same pairs, same cell
-// counts, same order — and the comm graph derived from them must match.
+// Property tests pinning the production redistribution build to the
+// brute-force oracle (tests/support/redistribution_oracle.hpp): for
+// randomized decomposition pairs the two must produce *identical*
+// transfer lists — same pairs, same cell counts, same order — and the
+// comm graph derived from them must match.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "geometry/redistribution.hpp"
+#include "support/redistribution_oracle.hpp"
 #include "support/seed_report.hpp"
 #include "workflow/mapping.hpp"
 
@@ -66,7 +68,7 @@ TEST_P(RedistributionSweep, VolumesEqualAllPairsOracle) {
   const Decomposition dst = random_decomposition(rng, extents);
 
   const auto sweep = redistribution_volumes(src, dst);
-  const auto naive = redistribution_volumes_allpairs(src, dst);
+  const auto naive = testing::redistribution_volumes_allpairs(src, dst);
   expect_identical(sweep, naive, seed);
   // Ownership covers the domain on both sides, so the overlaps tile it.
   EXPECT_EQ(total_cells(sweep), src.domain_cells()) << "seed " << seed;
@@ -81,8 +83,9 @@ TEST_P(RedistributionSweep, VolumesEqualAllPairsOracle) {
     region.lb[d] = std::min(a, b);
     region.ub[d] = std::max(a, b);
   }
-  expect_identical(redistribution_volumes(src, dst, region),
-                   redistribution_volumes_allpairs(src, dst, region), seed);
+  expect_identical(
+      redistribution_volumes(src, dst, region),
+      testing::redistribution_volumes_allpairs(src, dst, region), seed);
 }
 
 TEST_P(RedistributionSweep, CommGraphMatchesAllPairsVolumes) {
@@ -107,7 +110,8 @@ TEST_P(RedistributionSweep, CommGraphMatchesAllPairsVolumes) {
   i64 graph_weight = 0;
   for (i64 w : graph.adjwgt) graph_weight += w;
   u64 naive_bytes = 0;
-  for (const auto& t : redistribution_volumes_allpairs(a.dec, b.dec)) {
+  for (const auto& t :
+       testing::redistribution_volumes_allpairs(a.dec, b.dec)) {
     naive_bytes += t.cells * a.elem_size;
   }
   // Each undirected edge appears in both endpoints' adjacency.

@@ -338,18 +338,25 @@ Graph weighted_chain(i32 n) {
   return Graph::from_edges(n, edges, std::move(vwgt));
 }
 
-/// The Fig. 8 bundle shape: CAP1 (8x8x8 blocked) feeding CAP2 (4x4x4
-/// cyclic) over a 1024^3 domain, mapped onto 12-core nodes.
-Graph fig08_bundle_graph() {
-  auto app = [](i32 id, std::vector<i32> procs, Dist dist) {
+/// A CAP1 -> CAP2 bundle graph: a blocked producer feeding a consumer of
+/// distribution `consumer_dist` (block 64) over `extents`, 8-byte cells.
+Graph bundle_graph(std::vector<i64> extents, std::vector<i32> producer_procs,
+                   std::vector<i32> consumer_procs, Dist consumer_dist) {
+  auto app = [&extents](i32 id, std::vector<i32> procs, Dist dist) {
     AppSpec spec;
     spec.app_id = id;
-    spec.dec = Decomposition({1024, 1024, 1024}, std::move(procs), dist, 64);
+    spec.dec = Decomposition(extents, std::move(procs), dist, 64);
     spec.elem_size = 8;
     return spec;
   };
-  return bundle_comm_graph(
-      {app(1, {8, 8, 8}, Dist::kBlocked), app(2, {4, 4, 4}, Dist::kCyclic)});
+  return bundle_comm_graph({app(1, std::move(producer_procs), Dist::kBlocked),
+                            app(2, std::move(consumer_procs), consumer_dist)});
+}
+
+/// The Fig. 8 bundle shape: CAP1 (8x8x8 blocked) feeding CAP2 (4x4x4
+/// cyclic) over a 1024^3 domain, mapped onto 12-core nodes.
+Graph fig08_bundle_graph() {
+  return bundle_graph({1024, 1024, 1024}, {8, 8, 8}, {4, 4, 4}, Dist::kCyclic);
 }
 
 TEST(Partitioner, OutputsPinned) {
@@ -367,6 +374,17 @@ TEST(Partitioner, OutputsPinned) {
       {"chain83", weighted_chain(83), 5, 48},
       {"chain203", weighted_chain(203), 10, 56},
       {"fig08_bundle", fig08_bundle_graph(), 48, 12},
+      // Blocked -> block-cyclic: the dense coarsening shape.
+      {"fig08_blockcyclic",
+       bundle_graph({1024, 1024, 1024}, {8, 8, 8}, {4, 4, 4},
+                    Dist::kBlockCyclic),
+       48, 12},
+      // Fig. 16 ladder at factor 4 (2048 + 256 tasks on 192 nodes): the
+      // capacity-repair shape, hundreds of moves at the finest level.
+      {"fig16_x4_blocked",
+       bundle_graph({2048, 2048, 1024}, {16, 16, 8}, {8, 8, 4},
+                    Dist::kBlocked),
+       192, 12},
   };
   const std::map<std::pair<std::string, u64>, u64> expected = {
       {{"grid16x16", 1}, 4894143800630729701ull},
@@ -377,6 +395,10 @@ TEST(Partitioner, OutputsPinned) {
       {{"chain203", 7}, 3090251257457621558ull},
       {{"fig08_bundle", 1}, 4081977315404243655ull},
       {{"fig08_bundle", 7}, 9012683513305232479ull},
+      {{"fig08_blockcyclic", 1}, 2021155710009923034ull},
+      {{"fig08_blockcyclic", 7}, 452736217701482170ull},
+      {{"fig16_x4_blocked", 1}, 15777844977263076020ull},
+      {{"fig16_x4_blocked", 7}, 13769820841115388756ull},
   };
   for (const Case& c : cases) {
     for (u64 seed : {1u, 7u}) {
@@ -387,6 +409,68 @@ TEST(Partitioner, OutputsPinned) {
       ASSERT_TRUE(partition_valid(c.graph, result.part, c.nparts, c.cap));
       EXPECT_EQ(fingerprint(result), expected.at({c.name, seed}))
           << c.name << " seed " << seed << " cut " << result.edge_cut;
+    }
+  }
+}
+
+/// Uniform coarse blocks over a row-major fine grid (the opm-core
+/// `partition_unif_idx` mapping): fine cell i lands in coarse block
+/// i * coarse / fine along every dimension. Returns the block per cell.
+std::vector<i32> uniform_blocks(const std::vector<i32>& fine,
+                                const std::vector<i32>& coarse) {
+  i32 cells = 1;
+  for (i32 f : fine) cells *= f;
+  std::vector<i32> block(static_cast<size_t>(cells));
+  for (i32 cell = 0; cell < cells; ++cell) {
+    i32 rest = cell;
+    i32 stride = 1;
+    i32 id = 0;
+    for (size_t d = fine.size(); d-- > 0;) {
+      const i32 i = rest % fine[d];
+      rest /= fine[d];
+      id += (i * coarse[d] / fine[d]) * stride;
+      stride *= coarse[d];
+    }
+    block[static_cast<size_t>(cell)] = id;
+  }
+  return block;
+}
+
+TEST(Partitioner, NoWorseThanUniformBlocksOnMatchedBundles) {
+  // A blocked producer over a blocked consumer grid that divides it: each
+  // consumer task reads exactly the producer tasks of its uniform coarse
+  // block, so one part per consumer with its producers (capacity =
+  // producers per consumer + 1) has cut 0. The multilevel partition must
+  // do no worse than that uniform baseline.
+  struct Case {
+    std::vector<i64> extents;
+    std::vector<i32> producer;
+    std::vector<i32> consumer;
+  };
+  const std::vector<Case> cases = {
+      {{1024, 1024, 1024}, {8, 8, 8}, {4, 4, 4}},
+      {{2048, 1024, 1024}, {16, 8, 8}, {8, 4, 4}},
+      {{2048, 2048, 1024}, {16, 16, 8}, {8, 8, 4}},
+  };
+  for (const Case& c : cases) {
+    const Graph g =
+        bundle_graph(c.extents, c.producer, c.consumer, Dist::kBlocked);
+    std::vector<i32> uniform = uniform_blocks(c.producer, c.consumer);
+    const i32 nparts = static_cast<i32>(g.nvtx - uniform.size());
+    for (i32 r = 0; r < nparts; ++r) uniform.push_back(r);
+    const i64 cap = (g.nvtx + nparts - 1) / nparts;
+    ASSERT_EQ(cap, static_cast<i64>(uniform.size()) / nparts);
+    ASSERT_TRUE(partition_valid(g, uniform, nparts, cap));
+    const i64 uniform_cut = g.edge_cut(uniform);
+    EXPECT_EQ(uniform_cut, 0);
+    for (u64 seed : {1u, 7u, 42u}) {
+      PartitionOptions opt;
+      opt.max_part_weight = cap;
+      opt.seed = seed;
+      const auto result = kway_partition(g, nparts, opt);
+      ASSERT_TRUE(partition_valid(g, result.part, nparts, cap));
+      EXPECT_LE(result.edge_cut, uniform_cut)
+          << g.nvtx << " tasks, seed " << seed;
     }
   }
 }
