@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the framework's hot paths:
 // Hilbert encode/decode, box->span decomposition, M x N redistribution
 // volume computation, batch pricing in the cost model, multilevel
-// partitioning of grids and of the paper's coupling bundles, and live
-// CoDS put/get.
+// partitioning of grids and of the paper's coupling bundles, whole
+// modelled scenarios, and live CoDS put/get.
 #include <benchmark/benchmark.h>
 
 #include "core/cods.hpp"
@@ -10,7 +10,9 @@
 #include "partition/partitioner.hpp"
 #include "platform/cost_model.hpp"
 #include "sfc/curve.hpp"
+#include "paper_config.hpp"
 #include "workflow/mapping.hpp"
+#include "workflow/scenario.hpp"
 
 namespace {
 
@@ -139,6 +141,34 @@ void BM_PartitionBundle(benchmark::State& state) {
                  std::to_string(g.nvtx) + " vertices");
 }
 BENCHMARK(BM_PartitionBundle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One run_modeled_scenario: placement, redistribution, retrieve pricing,
+// DHT lookups and halo accounting. Argument 0: the sequential SAP1
+// blocked -> SAP2 + SAP3 cyclic scenario under client-side data-centric
+// mapping (262,144 coupled volumes); 1: the Fig. 16 x8 sequential rung
+// (4,096 -> 1,024 + 3,072 tasks, blocked).
+void BM_ModeledScenario(benchmark::State& state) {
+  ScenarioConfig config;
+  if (state.range(0) == 0) {
+    config = bench::sequential_scenario(MappingStrategy::kDataCentric,
+                                        Dist::kBlocked, Dist::kCyclic);
+  } else {
+    const bench::ScalePoint point = bench::weak_scaling_ladder()[3];
+    config.apps = {bench::app(1, "SAP1", point.extents, point.producer_layout),
+                   bench::app(2, "SAP2", point.extents, point.sap2_layout),
+                   bench::app(3, "SAP3", point.extents, point.sap3_layout)};
+    config.couplings = {{1, 2}, {1, 3}};
+    config.sequential = true;
+    config.strategy = MappingStrategy::kDataCentric;
+    config.cluster = bench::cluster_for_cores(config.apps[0].ntasks());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_modeled_scenario(config));
+  }
+  state.SetLabel(state.range(0) == 0 ? "sap blocked -> cyclic, dc"
+                                     : "fig16.sap.x8");
+}
+BENCHMARK(BM_ModeledScenario)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CodsPutGetRoundTrip(benchmark::State& state) {
   Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});

@@ -42,6 +42,8 @@ class CodsDht {
   CodsDht(const Cluster& cluster, SfcCurve curve, int granularity_log2 = 0);
 
   const SfcCurve& curve() const { return curve_; }
+  /// Queries are routed by their cells of side 2^granularity_log2().
+  int granularity_log2() const { return granularity_log2_; }
   i32 num_dht_cores() const { return cluster_->num_nodes(); }
 
   /// The DHT core responsible for one curve index.

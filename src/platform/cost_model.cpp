@@ -1,6 +1,7 @@
 #include "platform/cost_model.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/flat_table.hpp"
 
@@ -107,44 +108,132 @@ struct PairLoads {
     u64 operator()(u64 key) const { return mix64(key); }
   };
 
-  /// The scratch is sized for this many pairs when a thread first prices
-  /// a batch, which covers every batch of the paper's configurations
-  /// (at most 2,209 pairs). Grown on demand from a few pairs instead, it
-  /// raised the peak RSS of the perfbench modeled_paper workload by
-  /// 0.8 MiB, through where its reallocations landed on the heap. A
-  /// batch with more pairs grows it, and the next call releases it.
-  static constexpr size_t kKeepPairs = 4096;
-
   using Index = FlatTable<u64, u32, KeyHash>;
 
-  Index index{2 * kKeepPairs};
+  Index index;
   std::vector<Pair> pairs;
 
-  PairLoads() { pairs.reserve(kKeepPairs); }
-
   void reset() {
-    if (pairs.capacity() > kKeepPairs) {
-      *this = PairLoads();
-    } else {
-      index.clear();
-      pairs.clear();
-    }
+    index.clear();
+    pairs.clear();
   }
 
   void add(i32 src, i32 dst, u64 bytes, bool primary) {
     const u64 key =
         (u64{static_cast<u32>(src)} << 32) | static_cast<u32>(dst);
-    const u32 at = *index.insert(key, static_cast<u32>(pairs.size())).first;
-    if (at == pairs.size()) pairs.push_back(Pair{src, dst});
-    Pair& pair = pairs[at];
+    const u32* at = index.find(key);
+    Pair& pair = at != nullptr ? pairs[*at] : insert(key, src, dst);
     pair.bytes += bytes;
     pair.primary |= primary;
   }
+
+  /// A pair's first bytes. Kept out of line: a batch carries many flows
+  /// per pair, so the probe that finds the pair is the hot path, and
+  /// without the insertion it is small enough to inline into both
+  /// entries' loops.
+  [[gnu::noinline]] Pair& insert(u64 key, i32 src, i32 dst) {
+    index.insert(key, static_cast<u32>(pairs.size()));
+    return pairs.emplace_back(Pair{src, dst});
+  }
 };
 
-/// Integer byte sums below 2^53 convert to double exactly, so a load
-/// summed per pair equals the same load summed flow by flow in double.
-constexpr u64 kExactBytes = u64{1} << 53;
+/// One batch's loads on the calling thread. Both batch entries add their
+/// traffic here and then price it with price_batch.
+///
+/// A batch is priced once per pull on the simulate hot path (10^5+ calls
+/// per enacted wave) and once per consumer in every modelled scenario, so
+/// the scratch is thread-local and dense: one array per resource kind,
+/// indexed by link or node id. Link ids name torus positions, which may
+/// outnumber the nodes, so the link array spans the whole torus. Network
+/// bytes are first summed per (src, dst) node pair, so each distinct pair
+/// is routed once however many flows or pair entries it carries.
+struct BatchLoads {
+  LoadTable links;
+  LoadTable nics;
+  LoadTable shm;
+  PairLoads net;
+  std::vector<u64> route;
+  u64 total_bytes = 0;
+  bool primary_shm = false;
+
+  /// The calling thread's scratch, emptied and sized for `cluster`.
+  static BatchLoads& begin(const Cluster& cluster) {
+    static thread_local BatchLoads loads;
+    loads.links.reset(cluster.link_count());
+    loads.nics.reset(static_cast<size_t>(cluster.num_nodes()));
+    loads.shm.reset(static_cast<size_t>(cluster.num_nodes()));
+    loads.net.reset();
+    loads.total_bytes = 0;
+    loads.primary_shm = false;
+    return loads;
+  }
+
+  /// Adds each entry of `list`, whose `nodes(entry)` gives {src node,
+  /// dst node, bytes}. The running total stays in a local in the loop:
+  /// the load tables' stores could alias a member, which would reload it
+  /// for every entry.
+  template <typename List, typename Nodes>
+  void add(const List& list, bool primary, Nodes nodes) {
+    u64 total = total_bytes;
+    bool any_shm = false;
+    for (const auto& entry : list) {
+      const auto [src, dst, bytes] = nodes(entry);
+      if (bytes == 0) continue;
+      CODS_REQUIRE(bytes < CostModel::kExactBytes - total,
+                   "batch moves 2^53 bytes or more; loads would round");
+      total += bytes;
+      if (src == dst) {
+        any_shm = true;
+        shm.add(static_cast<size_t>(src), static_cast<double>(bytes),
+                primary);
+        continue;
+      }
+      net.add(src, dst, bytes, primary);
+    }
+    total_bytes = total;
+    primary_shm |= primary && any_shm;
+  }
+};
+
+/// Routes each network pair of `loads` once onto its NICs and links and
+/// prices the batch: the largest load / bandwidth over the resources some
+/// primary traffic touches, plus the primary traffic's latency.
+///
+/// Every load is a sum of integer byte counts below 2^53, which double
+/// adds exactly in any order, and a max over the sums does not depend on
+/// the order it visits them, so the result is bit-identical to summing
+/// each resource flow by flow, however the bytes were grouped into pairs.
+/// route.size() is the hop count by construction (shortest steps per
+/// dimension).
+double price_batch(const Cluster& cluster, const CostParams& params,
+                   BatchLoads& loads) {
+  i32 max_hops = 0;
+  bool primary_net = false;
+  for (const PairLoads::Pair& pair : loads.net.pairs) {
+    const double bytes = static_cast<double>(pair.bytes);
+    primary_net |= pair.primary;
+    loads.nics.add(static_cast<size_t>(pair.src), bytes, pair.primary);
+    loads.nics.add(static_cast<size_t>(pair.dst), bytes, pair.primary);
+    cluster.route_links(pair.src, pair.dst, loads.route);
+    if (pair.primary) {
+      max_hops = std::max(max_hops, static_cast<i32>(loads.route.size()));
+    }
+    for (const u64 link : loads.route) {
+      loads.links.add(static_cast<size_t>(link), bytes, pair.primary);
+    }
+  }
+  const double bottleneck =
+      std::max({loads.links.bottleneck(params.link_bw),
+                loads.nics.bottleneck(params.nic_bw),
+                loads.shm.bottleneck(params.shm_bw)});
+  double latency = 0.0;
+  if (primary_net) {
+    latency = params.net_latency + max_hops * params.hop_latency;
+  } else if (loads.primary_shm) {
+    latency = params.shm_latency;
+  }
+  return bottleneck + latency;
+}
 
 }  // namespace
 
@@ -153,73 +242,26 @@ double CostModel::batch_time_with_background(
   if (primary.empty()) return 0.0;
   // Accumulate loads over primary + background, but remember which
   // resources the primary flows touch: only those bound the result.
-  //
-  // This runs once per pull batch on the simulate hot path (10^5+ calls
-  // per enacted wave) and once per consumer in every modelled scenario,
-  // so the scratch is thread-local and dense: one array per resource
-  // kind, indexed by link or node id. Link ids name torus positions,
-  // which may outnumber the nodes, so the link array spans the whole
-  // torus. Network flows are first summed per (src, dst) node pair, so
-  // each distinct pair is routed once however many flows it carries.
-  // Every load is a sum of integer byte counts below 2^53, which double
-  // adds exactly in any order, and a max over the sums does not depend on
-  // the order it visits them, so the result is bit-identical to summing
-  // each resource flow by flow. route.size() is the hop count by
-  // construction (shortest steps per dimension).
-  static thread_local LoadTable links;
-  static thread_local LoadTable nics;
-  static thread_local LoadTable shm;
-  static thread_local PairLoads net;
-  static thread_local std::vector<u64> route;
-  links.reset(cluster_->link_count());
-  nics.reset(static_cast<size_t>(cluster_->num_nodes()));
-  shm.reset(static_cast<size_t>(cluster_->num_nodes()));
-  net.reset();
-  u64 total_bytes = 0;
-  bool primary_shm = false;
-  const auto add_flows = [&](const std::vector<Flow>& flows, bool is_primary) {
-    for (const Flow& f : flows) {
-      if (f.bytes == 0) continue;
-      CODS_REQUIRE(f.bytes < kExactBytes - total_bytes,
-                   "batch moves 2^53 bytes or more; loads would round");
-      total_bytes += f.bytes;
-      if (f.src.node == f.dst.node) {
-        primary_shm |= is_primary;
-        shm.add(static_cast<size_t>(f.src.node), static_cast<double>(f.bytes),
-                is_primary);
-        continue;
-      }
-      net.add(f.src.node, f.dst.node, f.bytes, is_primary);
-    }
+  const auto nodes = [](const Flow& f) {
+    return std::tuple{f.src.node, f.dst.node, f.bytes};
   };
-  add_flows(primary, /*is_primary=*/true);
-  add_flows(background, /*is_primary=*/false);
-  i32 max_hops = 0;
-  bool primary_net = false;
-  for (const PairLoads::Pair& pair : net.pairs) {
-    const double bytes = static_cast<double>(pair.bytes);
-    primary_net |= pair.primary;
-    nics.add(static_cast<size_t>(pair.src), bytes, pair.primary);
-    nics.add(static_cast<size_t>(pair.dst), bytes, pair.primary);
-    cluster_->route_links(pair.src, pair.dst, route);
-    if (pair.primary) {
-      max_hops = std::max(max_hops, static_cast<i32>(route.size()));
-    }
-    for (const u64 link : route) {
-      links.add(static_cast<size_t>(link), bytes, pair.primary);
-    }
-  }
-  const double bottleneck =
-      std::max({links.bottleneck(params_.link_bw),
-                nics.bottleneck(params_.nic_bw),
-                shm.bottleneck(params_.shm_bw)});
-  double latency = 0.0;
-  if (primary_net) {
-    latency = params_.net_latency + max_hops * params_.hop_latency;
-  } else if (primary_shm) {
-    latency = params_.shm_latency;
-  }
-  return bottleneck + latency;
+  BatchLoads& loads = BatchLoads::begin(*cluster_);
+  loads.add(primary, /*primary=*/true, nodes);
+  loads.add(background, /*primary=*/false, nodes);
+  return price_batch(*cluster_, params_, loads);
+}
+
+double CostModel::batch_time_of_pairs(
+    std::span<const NodePairBytes> primary,
+    std::span<const NodePairBytes> background) const {
+  if (primary.empty()) return 0.0;
+  const auto nodes = [](const NodePairBytes& p) {
+    return std::tuple{p.src, p.dst, p.bytes};
+  };
+  BatchLoads& loads = BatchLoads::begin(*cluster_);
+  loads.add(primary, /*primary=*/true, nodes);
+  loads.add(background, /*primary=*/false, nodes);
+  return price_batch(*cluster_, params_, loads);
 }
 
 double CostModel::rpc_time(const CoreLoc& src, const CoreLoc& dst,

@@ -10,6 +10,7 @@
 // for intra-node (shared-memory) flows.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "platform/cluster.hpp"
@@ -54,9 +55,22 @@ struct Flow {
   u64 bytes = 0;
 };
 
+/// Bytes a batch moves from node `src` to node `dst`, summed over the
+/// flows between their cores. src == dst is a shared-memory transfer on
+/// that node.
+struct NodePairBytes {
+  i32 src = 0;
+  i32 dst = 0;
+  u64 bytes = 0;
+};
+
 /// Estimates completion times for flow batches on a given cluster.
 class CostModel {
  public:
+  /// A batch's nonzero bytes must total less than this: below 2^53 every
+  /// partial load sum is an integer that double holds exactly.
+  static constexpr u64 kExactBytes = u64{1} << 53;
+
   CostModel(const Cluster& cluster, CostParams params = {})
       : cluster_(&cluster), params_(params) {}
 
@@ -77,6 +91,13 @@ class CostModel {
   /// includes the background traffic.
   double batch_time_with_background(const std::vector<Flow>& primary,
                                     const std::vector<Flow>& background) const;
+
+  /// batch_time_with_background of flows already summed per node pair.
+  /// A pair may appear in both lists and more than once in either. On
+  /// the per-pair sums of any two flow lists it returns bit for bit what
+  /// the flows entry returns on the lists themselves.
+  double batch_time_of_pairs(std::span<const NodePairBytes> primary,
+                             std::span<const NodePairBytes> background) const;
 
   /// Time for `count` small RPC round-trips between two cores (DHT queries).
   double rpc_time(const CoreLoc& src, const CoreLoc& dst, u64 count = 1) const;

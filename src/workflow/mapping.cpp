@@ -232,11 +232,38 @@ std::vector<NodeBytes> consumer_node_bytes(
     const Placement& producer_placement, const AppSpec& consumer) {
   std::vector<NodeBytes> out(static_cast<size_t>(consumer.ntasks()));
   const u64 elem = consumer.elem_size;
+  // Volumes arrive grouped by source rank. A run of volumes from one
+  // producer node is summed per consumer rank in a dense marker, so each
+  // rank's map is updated once per run, not once per volume. A rank is
+  // listed on its first volume of the run, so a zero-byte volume still
+  // enters its node in the map.
+  std::vector<u64> run_bytes(out.size(), 0);
+  std::vector<i32> run_ranks;
+  i32 run_src = -1;
+  i32 run_node = -1;
+  const auto flush = [&] {
+    for (const i32 r : run_ranks) {
+      const auto rank = static_cast<size_t>(r);
+      out[rank][run_node] += run_bytes[rank];
+      run_bytes[rank] = 0;
+    }
+    run_ranks.clear();
+  };
   for (const TransferVolume& t : volumes) {
-    const CoreLoc loc =
-        producer_placement.loc(TaskId{producer.app_id, t.src_rank});
-    out[static_cast<size_t>(t.dst_rank)][loc.node] += t.cells * elem;
+    if (t.src_rank != run_src) {
+      run_src = t.src_rank;
+      const i32 node =
+          producer_placement.loc(TaskId{producer.app_id, t.src_rank}).node;
+      if (node != run_node) {
+        flush();
+        run_node = node;
+      }
+    }
+    const auto rank = static_cast<size_t>(t.dst_rank);
+    if (run_bytes[rank] == 0) run_ranks.push_back(t.dst_rank);
+    run_bytes[rank] += t.cells * elem;
   }
+  flush();
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -181,6 +182,40 @@ TEST_F(DhtTest, OwnerNodesMatchSetBasedReference) {
     EXPECT_EQ(coarse.owner_nodes(box),
               owner_nodes_via_set(coarse, box, /*granularity_log2=*/2))
         << "trial " << trial << " (coarse)";
+  }
+}
+
+TEST(DhtCoarse, OwnerNodesDependOnlyOnCoarseBox) {
+  // The modelled evaluator looks owners up once per coarse box: a query
+  // b' whose cells of side 2^g are those of b must get b's owners.
+  const Cluster cluster(ClusterSpec{.num_nodes = 43, .cores_per_node = 12});
+  Rng rng(31);
+  for (const int ndim : {2, 3}) {
+    const int bits = ndim == 2 ? 7 : 5;
+    const i64 side = i64{1} << bits;
+    for (const int g : {1, 2, bits - 3, bits - 1}) {
+      const CodsDht dht(cluster, SfcCurve(CurveKind::kHilbert, ndim, bits), g);
+      const i64 cell = i64{1} << g;
+      for (int trial = 0; trial < 100; ++trial) {
+        Box b(Point::zeros(ndim), Point::zeros(ndim));
+        Box same(Point::zeros(ndim), Point::zeros(ndim));
+        for (int d = 0; d < ndim; ++d) {
+          b.lb[d] = static_cast<i64>(rng() % static_cast<u64>(side));
+          b.ub[d] = b.lb[d] +
+                    static_cast<i64>(rng() % static_cast<u64>(side - b.lb[d]));
+          // Any cells of the same coarse cells, lb' <= ub'.
+          const i64 lo = (b.lb[d] >> g) << g;
+          const i64 hi = (b.ub[d] >> g) << g;
+          i64 a = lo + static_cast<i64>(rng() % static_cast<u64>(cell));
+          i64 z = hi + static_cast<i64>(rng() % static_cast<u64>(cell));
+          if (a > z) std::swap(a, z);
+          same.lb[d] = a;
+          same.ub[d] = z;
+        }
+        EXPECT_EQ(dht.owner_nodes(b), dht.owner_nodes(same))
+            << ndim << "-D, g = " << g << ", trial " << trial;
+      }
+    }
   }
 }
 

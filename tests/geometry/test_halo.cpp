@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 
 #include "geometry/halo.hpp"
@@ -89,6 +91,66 @@ TEST(Halo, EmptyRaggedTasksSkipped) {
   for (const auto& [key, v] : m) {
     EXPECT_NE(key.first, 3);
     EXPECT_NE(key.second, 3);
+  }
+}
+
+/// The neighbour loop halo_volumes used before it stepped ranks by
+/// row-major strides: a grid point and grid_to_rank per neighbour, and
+/// owned_count_dim per lookup.
+std::vector<TransferVolume> halo_volumes_via_grid(const Decomposition& dec,
+                                                  int ghost_width) {
+  std::vector<TransferVolume> out;
+  if (ghost_width == 0) return out;
+  for (i32 rank = 0; rank < dec.ntasks(); ++rank) {
+    const Point g = dec.rank_to_grid(rank);
+    std::array<i64, kMaxDims> local{};
+    bool empty = false;
+    for (int d = 0; d < dec.ndim(); ++d) {
+      local[static_cast<size_t>(d)] =
+          dec.owned_count_dim(d, static_cast<i32>(g[d]));
+      if (local[static_cast<size_t>(d)] == 0) empty = true;
+    }
+    if (empty) continue;
+    for (int d = 0; d < dec.ndim(); ++d) {
+      for (int dir : {-1, +1}) {
+        Point ng = g;
+        ng[d] += dir;
+        if (ng[d] < 0 || ng[d] >= dec.dim(d).nprocs) continue;
+        if (dec.owned_count_dim(d, static_cast<i32>(ng[d])) == 0) continue;
+        u64 face = 1;
+        for (int e = 0; e < dec.ndim(); ++e) {
+          if (e != d) face *= static_cast<u64>(local[static_cast<size_t>(e)]);
+        }
+        const u64 layers = static_cast<u64>(
+            std::min<i64>(ghost_width, local[static_cast<size_t>(d)]));
+        out.push_back(
+            TransferVolume{rank, dec.grid_to_rank(ng), face * layers});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Halo, MatchesGridToRankReference) {
+  const std::vector<Decomposition> decs = {
+      Decomposition({5}, {4}, Dist::kBlocked),
+      Decomposition({32, 17}, {4, 3}, Dist::kBlocked),
+      Decomposition({7, 9, 11}, {3, 4, 2}, Dist::kBlocked),
+      Decomposition({10, 6, 5, 9}, {2, 3, 5, 4}, Dist::kBlocked),
+      Decomposition({64, 64, 64}, {8, 8, 2}, Dist::kBlocked),
+      Decomposition({1, 8}, {1, 8}, Dist::kBlocked),
+  };
+  for (const Decomposition& dec : decs) {
+    for (int ghost : {0, 1, 2, 5}) {
+      const auto got = halo_volumes(dec, ghost);
+      const auto want = halo_volumes_via_grid(dec, ghost);
+      ASSERT_EQ(got.size(), want.size()) << dec.to_string() << " g=" << ghost;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].src_rank, want[i].src_rank) << dec.to_string();
+        EXPECT_EQ(got[i].dst_rank, want[i].dst_rank) << dec.to_string();
+        EXPECT_EQ(got[i].cells, want[i].cells) << dec.to_string();
+      }
+    }
   }
 }
 

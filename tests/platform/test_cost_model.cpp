@@ -379,5 +379,128 @@ TEST(CostModelOracle, RejectsBatchOf2To53Bytes) {
   expect_matches_oracle(cluster, {{{0, 0}, {1, 0}, 4096}}, {});
 }
 
+// ---------------------------------------------------------------------------
+// The pair entry against the same oracle: each node pair's bytes are split
+// into several flows between random cores of its two nodes, and pricing
+// the pairs must give bit for bit what the oracle gives on the flows.
+// ---------------------------------------------------------------------------
+
+/// Random node pairs: `shm_share` of them intra-node, one in `zero_every`
+/// zero-byte, sizes spread over six decades so sums round.
+std::vector<NodePairBytes> random_pairs(std::mt19937_64& rng,
+                                        const Cluster& cluster, size_t count,
+                                        double shm_share, int zero_every) {
+  std::vector<NodePairBytes> pairs;
+  for (const Flow& f :
+       random_flows(rng, cluster, count, shm_share, zero_every)) {
+    pairs.push_back(NodePairBytes{f.src.node, f.dst.node, f.bytes});
+  }
+  return pairs;
+}
+
+/// Each pair as one to four flows between random cores of its nodes
+/// whose bytes sum to the pair's.
+std::vector<Flow> expand_pairs(std::mt19937_64& rng, const Cluster& cluster,
+                               const std::vector<NodePairBytes>& pairs) {
+  std::uniform_int_distribution<i32> core(0, cluster.cores_per_node() - 1);
+  std::uniform_int_distribution<int> parts(1, 4);
+  std::vector<Flow> flows;
+  for (const NodePairBytes& p : pairs) {
+    u64 left = p.bytes;
+    for (int k = parts(rng); k > 0; --k) {
+      const u64 part =
+          k == 1 ? left
+                 : std::uniform_int_distribution<u64>(0, left)(rng);
+      flows.push_back(
+          Flow{CoreLoc{p.src, core(rng)}, CoreLoc{p.dst, core(rng)}, part});
+      left -= part;
+    }
+  }
+  std::shuffle(flows.begin(), flows.end(), rng);
+  return flows;
+}
+
+void expect_pairs_match_oracle(std::mt19937_64& rng, const Cluster& cluster,
+                               const std::vector<NodePairBytes>& primary,
+                               const std::vector<NodePairBytes>& background) {
+  const CostModel model(cluster);
+  const double got = model.batch_time_of_pairs(primary, background);
+  const double want =
+      reference_batch_time(cluster, model.params(),
+                           expand_pairs(rng, cluster, primary),
+                           expand_pairs(rng, cluster, background));
+  EXPECT_EQ(got, want) << cluster.to_string() << ": " << primary.size()
+                       << " primary, " << background.size()
+                       << " background pairs";
+}
+
+TEST(CostModelPairs, RandomPairsMatchFlowOracle) {
+  const Cluster torus(ClusterSpec{.num_nodes = 27, .cores_per_node = 12});
+  const Cluster sparse(ClusterSpec{
+      .num_nodes = 10, .cores_per_node = 4, .torus = {3, 3, 2}});
+  std::mt19937_64 rng(21);
+  for (const Cluster* cluster : {&torus, &sparse}) {
+    for (double shm_share : {0.0, 0.3, 1.0}) {
+      for (int trial = 0; trial < 60; ++trial) {
+        expect_pairs_match_oracle(
+            rng, *cluster,
+            random_pairs(rng, *cluster, 1 + trial % 30, shm_share, 0),
+            random_pairs(rng, *cluster, trial % 11, shm_share, 0));
+      }
+    }
+  }
+}
+
+TEST(CostModelPairs, ZeroByteAndRepeatedPairs) {
+  const Cluster cluster(ClusterSpec{.num_nodes = 8, .cores_per_node = 4});
+  std::mt19937_64 rng(22);
+  // All-zero primaries price to zero even against a loaded background.
+  expect_pairs_match_oracle(rng, cluster, {{0, 3, 0}, {2, 2, 0}},
+                            {{0, 3, 1u << 20}});
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<NodePairBytes> primary =
+        random_pairs(rng, cluster, 12, 0.25, 3);
+    std::vector<NodePairBytes> background =
+        random_pairs(rng, cluster, 8, 0.25, 2);
+    // A pair listed twice in one list, and one in both lists.
+    primary.push_back(primary.front());
+    background.push_back(primary.back());
+    expect_pairs_match_oracle(rng, cluster, primary, background);
+  }
+}
+
+TEST(CostModelPairs, PairInBothLists) {
+  // Node pair 0 -> 5 and the memory bus of node 2 carry primary and
+  // background bytes: their loads include both.
+  const Cluster cluster(ClusterSpec{.num_nodes = 8, .cores_per_node = 12});
+  std::mt19937_64 rng(23);
+  const std::vector<NodePairBytes> primary = {
+      {0, 5, 1'999'986}, {2, 2, 10'007}, {3, 1, 0}};
+  const std::vector<NodePairBytes> background = {
+      {0, 5, 7'123'458}, {2, 2, 4'000'037}, {5, 0, 4'000'037}};
+  expect_pairs_match_oracle(rng, cluster, primary, background);
+  const CostModel model(cluster);
+  EXPECT_GT(model.batch_time_of_pairs(primary, background),
+            model.batch_time_of_pairs(primary, {}));
+  EXPECT_EQ(model.batch_time_of_pairs({}, background), 0.0);
+}
+
+TEST(CostModelPairs, RejectsBatchOf2To53Bytes) {
+  const Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 2});
+  const CostModel model(cluster);
+  using Pairs = std::vector<NodePairBytes>;
+  const u64 half = u64{1} << 52;
+  EXPECT_NO_THROW(model.batch_time_of_pairs(Pairs{{0, 1, 2 * half - 1}}, {}));
+  EXPECT_THROW(
+      model.batch_time_of_pairs(Pairs{{0, 1, half}, {2, 3, half}}, {}), Error);
+  EXPECT_THROW(
+      model.batch_time_of_pairs(Pairs{{0, 1, half}}, Pairs{{1, 1, half}}),
+      Error);
+  EXPECT_THROW(model.batch_time_of_pairs(Pairs{{0, 0, ~u64{0}}}, {}), Error);
+  // A rejected batch leaves the scratch usable.
+  std::mt19937_64 rng(24);
+  expect_pairs_match_oracle(rng, cluster, {{0, 1, 4096}}, {});
+}
+
 }  // namespace
 }  // namespace cods

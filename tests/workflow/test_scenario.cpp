@@ -207,6 +207,54 @@ TEST(Scenario, StagingNeedsNodes) {
   EXPECT_THROW(run_modeled_scenario(staged), Error);
 }
 
+TEST(Scenario, SequentialCyclicDataCentricPinned) {
+  // Blocked producer -> cyclic consumers under client-side mapping: DHT
+  // lookups whose boxes span the domain, network and shared-memory pairs
+  // and two consumers pricing each other as background. The values were
+  // captured before the evaluator summed its loads per node pair and
+  // memoized DHT owners per coarse box, and must not move.
+  ScenarioConfig config = sequential_config(MappingStrategy::kDataCentric);
+  config.apps[1].dec = Decomposition({32, 32}, {8, 2}, Dist::kCyclic);
+  config.apps[2].dec = Decomposition({32, 32}, {8, 1}, Dist::kCyclic);
+  const ScenarioResult r = run_modeled_scenario(config);
+  EXPECT_EQ(r.apps.at(2).dht_queries, 256);
+  EXPECT_EQ(r.apps.at(2).retrieve_time, 0x1.831356852e0dep-12);
+  EXPECT_EQ(r.apps.at(2).inter_net_bytes, 6144u);
+  EXPECT_EQ(r.apps.at(2).inter_shm_bytes, 2048u);
+  EXPECT_EQ(r.apps.at(3).dht_queries, 128);
+  EXPECT_EQ(r.apps.at(3).retrieve_time, 0x1.90c1e240affcp-13);
+  EXPECT_EQ(r.apps.at(3).inter_net_bytes, 6144u);
+  EXPECT_EQ(r.apps.at(3).inter_shm_bytes, 2048u);
+}
+
+TEST(Scenario, SequentialStagingPinned) {
+  // The same coupling through 4 staging nodes: sources are the staging
+  // nodes the producer regions hash to, and the DHT spans 20 nodes.
+  ScenarioConfig config = sequential_config(MappingStrategy::kDataCentric);
+  config.apps[1].dec = Decomposition({32, 32}, {8, 2}, Dist::kCyclic);
+  config.apps[2].dec = Decomposition({32, 32}, {8, 1}, Dist::kCyclic);
+  config.sharing = SharingMode::kStagingArea;
+  config.staging_nodes = 4;
+  const ScenarioResult r = run_modeled_scenario(config);
+  EXPECT_EQ(r.apps.at(2).dht_queries, 320);
+  EXPECT_EQ(r.apps.at(2).retrieve_time, 0x1.852c357944cb9p-12);
+  EXPECT_EQ(r.apps.at(2).staging_net_bytes, 8192u);
+  EXPECT_EQ(r.apps.at(3).dht_queries, 160);
+  EXPECT_EQ(r.apps.at(3).retrieve_time, 0x1.94f3a028dd777p-13);
+  EXPECT_EQ(r.apps.at(3).inter_net_bytes, 8192u);
+}
+
+TEST(Scenario, CoupledBytesOf2To53Rejected) {
+  // Every consumer's batch is priced against the other's, so the cost
+  // model's 2^53-byte bound applies to the scenario's coupled total.
+  ScenarioConfig config = sequential_config(MappingStrategy::kRoundRobin);
+  for (AppSpec& app : config.apps) app.elem_size = u64{1} << 40;
+  // 2 consumers x 1,024 cells x 2^40 B = 2^51 B: still exact.
+  EXPECT_NO_THROW(run_modeled_scenario(config));
+  for (AppSpec& app : config.apps) app.elem_size = u64{1} << 42;
+  EXPECT_THROW(run_modeled_scenario(config), Error);
+}
+
 TEST(Scenario, WeakScalingGrowsGently) {
   // Fig. 16 shape at miniature scale: 4x the tasks and data on 4x the
   // nodes must not explode the retrieve time.
