@@ -2,15 +2,20 @@
 // Hilbert encode/decode, box->span decomposition, M x N redistribution
 // volume computation, batch pricing in the cost model, multilevel
 // partitioning of grids and of the paper's coupling bundles, whole
-// modelled scenarios, and live CoDS put/get.
+// modelled scenarios, live CoDS put/get, DHT owner lookups and the
+// Chrome trace export.
 #include <benchmark/benchmark.h>
 
 #include "core/cods.hpp"
+#include "core/dht.hpp"
 #include "geometry/redistribution.hpp"
 #include "partition/partitioner.hpp"
 #include "platform/cost_model.hpp"
 #include "sfc/curve.hpp"
+#include "trace/export.hpp"
 #include "paper_config.hpp"
+#include "wfgen/enact.hpp"
+#include "wfgen/wfgen.hpp"
 #include "workflow/mapping.hpp"
 #include "workflow/scenario.hpp"
 
@@ -53,6 +58,36 @@ void BM_BoxSpans(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoxSpans)->Arg(0)->Arg(7)->Unit(benchmark::kMicrosecond);
+
+// CodsDht::owner_nodes on the live put/get path. Argument 0: the
+// sim_weak perfbench rung, aligned 2x2-cell producer boxes on the 512^2
+// Hilbert grid over 5,462 nodes (65,536 ranks on 12-core nodes); 1: a
+// wfgen-sized block of a 20^3 domain (32^3 grid) over 6 nodes.
+void BM_DhtOwnerNodes(benchmark::State& state) {
+  const bool weak = state.range(0) == 0;
+  const Cluster cluster(ClusterSpec{.num_nodes = weak ? 5462 : 6,
+                                    .cores_per_node = 12});
+  const CodsDht dht(cluster, weak ? SfcCurve(CurveKind::kHilbert, 2, 9)
+                                  : SfcCurve(CurveKind::kHilbert, 3, 5));
+  std::vector<Box> boxes;
+  if (weak) {
+    for (i64 y = 0; y < 512; y += 2) {
+      for (i64 x = 0; x < 512; x += 2) {
+        boxes.push_back(Box{{y, x}, {y + 1, x + 1}});
+      }
+    }
+  } else {
+    boxes.push_back(Box{{5, 0, 10}, {14, 9, 19}});
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dht.owner_nodes(boxes[i]));
+    if (++i == boxes.size()) i = 0;
+  }
+  state.SetLabel(weak ? "sim_weak 2x2 on 512^2, 5462 nodes"
+                      : "wfgen 10^3 on 32^3, 6 nodes");
+}
+BENCHMARK(BM_DhtOwnerNodes)->Arg(0)->Arg(1);
 
 // The Fig. 16 base rung's concurrent coupling with a cyclic consumer:
 // 512 blocked producer tasks -> 64 element-cyclic consumer tasks on
@@ -190,6 +225,30 @@ void BM_CodsPutGetRoundTrip(benchmark::State& state) {
                           static_cast<i64>(data.size()));
 }
 BENCHMARK(BM_CodsPutGetRoundTrip)->Unit(benchmark::kMicrosecond);
+
+// to_chrome_trace over the span streams of wfgen seeds 1-20 enacted
+// under kSimulate, as the wfgen_faults perfbench workload exports them.
+void BM_ChromeExport(benchmark::State& state) {
+  std::vector<std::vector<TraceSpan>> streams;
+  for (u64 seed = 1; seed <= 20; ++seed) {
+    streams.push_back(
+        wfgen::enact(wfgen::generate(seed), {.mode = ExecMode::kSimulate})
+            .spans);
+  }
+  i64 bytes = 0;
+  i64 spans = 0;
+  for (auto _ : state) {
+    for (const auto& stream : streams) {
+      std::string json = to_chrome_trace(stream);
+      benchmark::DoNotOptimize(json);
+      bytes += static_cast<i64>(json.size());
+      spans += static_cast<i64>(stream.size());
+    }
+  }
+  state.SetBytesProcessed(bytes);
+  state.SetItemsProcessed(spans);
+}
+BENCHMARK(BM_ChromeExport)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -37,8 +37,9 @@ struct LookupResult {
 /// The data-lookup service. Thread-safe.
 class CodsDht {
  public:
-  /// `granularity_log2` coarsens box->span decomposition when routing
-  /// queries (over-coverage only adds harmless extra owner cores).
+  /// `granularity_log2` in [0, curve.bits()] coarsens query routing: a
+  /// query reaches the owners of every cell of side 2^granularity_log2
+  /// it meets (over-coverage only adds harmless extra owner cores).
   CodsDht(const Cluster& cluster, SfcCurve curve, int granularity_log2 = 0);
 
   const SfcCurve& curve() const { return curve_; }

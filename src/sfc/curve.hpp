@@ -74,8 +74,9 @@ class SfcCurve {
 /// Decomposes a box query into the sorted, merged list of curve index spans
 /// covering exactly the box's cells. `min_side_log2` = g > 0 coarsens the
 /// result: every aligned subcube of side 2^g that merely intersects the
-/// query is covered whole, trading span count for over-coverage (callers
-/// that only need the set of DHT owners use this). It is computed as the
+/// query is covered whole, trading span count for over-coverage
+/// (CodsDht::owner_nodes routes queries by the owners of these cells, but
+/// walks the subcubes itself instead of listing spans). It is computed as the
 /// exact spans of the query's coarse cells on the curve with bits - g
 /// levels, each scaled by 2^(ndim*g).
 std::vector<IndexSpan> box_spans(const SfcCurve& curve, const Box& query,

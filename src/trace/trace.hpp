@@ -97,8 +97,10 @@ class TraceRecorder {
 
   /// `ring_capacity` (rounded up to a power of two) bounds each track's
   /// in-flight spans; a full ring is drained by its writer, so capacity
-  /// only tunes batching, not completeness.
-  explicit TraceRecorder(size_t ring_capacity = 1024);
+  /// only tunes batching, not completeness. The default 64-span (4 KiB)
+  /// ring keeps the pool of rings, one per concurrently live context,
+  /// small (docs/TRACING.md).
+  explicit TraceRecorder(size_t ring_capacity = 64);
 
   /// Drains every track's ring into the completed-span list.
   void flush();
@@ -139,7 +141,8 @@ class TraceRecorder {
   /// owning TraceContext dies (drained first, so no span is lost). Rings
   /// in flight therefore track concurrently *live* contexts, and an
   /// idle or finished rank's track costs this struct — well under a
-  /// cache line of payload — instead of a 64 KiB ring.
+  /// cache line of payload — instead of a ring (4 KiB at the default
+  /// capacity).
   struct Track {
     explicit Track(u64 key_) : key(key_) {}
     u64 key;

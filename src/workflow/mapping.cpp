@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 
 #include "geometry/redistribution.hpp"
 
@@ -203,20 +202,22 @@ ServerMappingResult server_data_centric_placement(
   // (paper §IV-B).
   ServerMappingResult result;
   std::vector<i32> next_core(static_cast<size_t>(nparts), 0);
+  std::vector<char> node_used(static_cast<size_t>(cluster.num_nodes()), 0);
   i32 vertex = 0;
   for (const AppSpec& app : apps) {
     for (i32 rank = 0; rank < app.ntasks(); ++rank, ++vertex) {
       const i32 part = partition.part[static_cast<size_t>(vertex)];
       const i32 core = next_core[static_cast<size_t>(part)]++;
       CODS_CHECK(core < cores, "partition exceeded node capacity");
-      result.placement.assign(TaskId{app.app_id, rank},
-                              CoreLoc{nodes[static_cast<size_t>(part)], core});
+      const i32 node = nodes[static_cast<size_t>(part)];
+      result.placement.assign(TaskId{app.app_id, rank}, CoreLoc{node, core});
+      if (node_used[static_cast<size_t>(node)] == 0) {
+        node_used[static_cast<size_t>(node)] = 1;
+        ++result.nodes_used;
+      }
     }
   }
   result.edge_cut_bytes = partition.edge_cut;
-  std::set<i32> used;
-  for (const auto& [task, loc] : result.placement.all()) used.insert(loc.node);
-  result.nodes_used = static_cast<i32>(used.size());
   return result;
 }
 

@@ -158,8 +158,10 @@ std::vector<i32> owner_nodes_via_set(const CodsDht& dht, const Box& box,
   std::set<i32> nodes;
   for (const IndexSpan& span :
        box_spans(dht.curve(), box, granularity_log2)) {
-    for (u64 idx = span.lo; idx <= span.hi; ++idx) {
-      nodes.insert(dht.owner_node(idx));
+    // Ownership is monotone in the index: a span's owners are those of
+    // its end points and every node between them.
+    for (i32 n = dht.owner_node(span.lo); n <= dht.owner_node(span.hi); ++n) {
+      nodes.insert(n);
     }
   }
   return std::vector<i32>(nodes.begin(), nodes.end());
@@ -182,6 +184,41 @@ TEST_F(DhtTest, OwnerNodesMatchSetBasedReference) {
     EXPECT_EQ(coarse.owner_nodes(box),
               owner_nodes_via_set(coarse, box, /*granularity_log2=*/2))
         << "trial " << trial << " (coarse)";
+  }
+  // Both curves, 1-3 dimensions, the finest, coarsest and two
+  // intermediate granularities, and node counts from one to more than
+  // there are coarse cells; 5,462 is the sim_weak perfbench cluster
+  // (65,536 producer ranks on 12-core nodes) over its 512^2 grid. Boxes
+  // may stick out of the grid on any side, or miss it entirely.
+  for (const CurveKind kind : {CurveKind::kHilbert, CurveKind::kMorton}) {
+    for (const int ndim : {1, 2, 3}) {
+      const int bits = ndim == 1 ? 10 : ndim == 2 ? 9 : 5;
+      const i64 side = i64{1} << bits;
+      const SfcCurve curve(kind, ndim, bits);
+      for (const int g : {0, 1, bits - 1, bits}) {
+        const i64 coarse_cells = i64{1} << (ndim * (bits - g));
+        for (i64 num_nodes : {i64{1}, i64{7}, i64{12}, i64{5462},
+                              coarse_cells + 3}) {
+          if (num_nodes > 40000) continue;
+          const Cluster cluster(ClusterSpec{
+              .num_nodes = static_cast<i32>(num_nodes), .cores_per_node = 4});
+          const CodsDht dht(cluster, curve, g);
+          for (int trial = 0; trial < 40; ++trial) {
+            Box box(Point::zeros(ndim), Point::zeros(ndim));
+            for (int d = 0; d < ndim; ++d) {
+              box.lb[d] = static_cast<i64>(rng() % static_cast<u64>(side + 8)) -
+                          side / 8;
+              box.ub[d] = box.lb[d] +
+                          static_cast<i64>(rng() % static_cast<u64>(side / 2));
+            }
+            EXPECT_EQ(dht.owner_nodes(box), owner_nodes_via_set(dht, box, g))
+                << (kind == CurveKind::kHilbert ? "Hilbert " : "Morton ")
+                << ndim << "-D, g = " << g << ", " << num_nodes
+                << " nodes, trial " << trial;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -4,11 +4,20 @@
 // Workflow-level integration lives in test_golden_trace.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "common/sync.hpp"
+#include "runtime/sim.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
@@ -259,6 +268,49 @@ TEST(TraceUnit, MaxEndWithParentFallsBack) {
   EXPECT_EQ(rec.span_count(), 1u);
 }
 
+TEST(TraceUnit, DefaultRingsKeepEverySpanUnderManyLiveFibers) {
+  // 200 simulate fibers each hold a live context (and so a pooled ring)
+  // at once while one of them emits ten default rings' worth of spans:
+  // every overflow drains into the span list, none is dropped.
+  constexpr i32 kFibers = 200;
+  constexpr int kBurst = 10 * 64 + 7;
+  TraceRecorder rec;
+  Mutex mu{"test.trace.gate"};
+  CondVar all_started;
+  i32 started = 0;
+  SimEngine sim;
+  sim.run(kFibers, [&](i32 rank) {
+    TraceContext ctx(rec, static_cast<u64>(rank) + 1, 0.0, 0, 1, rank, 0);
+    ctx.leaf(SpanCategory::kTask, 1.0, 8, TrafficClass::kInterApp, 1, true);
+    {
+      MutexLock lock(mu);
+      if (++started == kFibers) all_started.notify_all();
+      all_started.wait(lock, [&] { return started == kFibers; });
+    }
+    if (rank == kFibers / 2) {
+      for (int i = 0; i < kBurst; ++i) {
+        ctx.leaf(SpanCategory::kPull, 0.5, static_cast<u64>(i),
+                 TrafficClass::kInterApp, 1, true);
+      }
+    }
+    ctx.instant(SpanCategory::kRecv);
+  });
+  const auto spans = rec.snapshot();
+  ASSERT_EQ(spans.size(), static_cast<size_t>(2 * kFibers + kBurst));
+  EXPECT_TRUE(std::is_sorted(
+      spans.begin(), spans.end(),
+      [](const TraceSpan& a, const TraceSpan& b) { return a.id < b.id; }));
+  // Each track's sequence is 1..n without gaps.
+  size_t i = 0;
+  for (i32 rank = 0; rank < kFibers; ++rank) {
+    const u64 track = static_cast<u64>(rank) + 1;
+    const u64 n = rank == kFibers / 2 ? kBurst + 2 : 2;
+    for (u64 seq = 1; seq <= n; ++seq, ++i) {
+      ASSERT_EQ(spans[i].id, id_of(track, seq)) << "rank " << rank;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Chrome export
 // ---------------------------------------------------------------------------
@@ -303,6 +355,109 @@ TEST(TraceExport, WriteToFileRoundTrips) {
   EXPECT_EQ(buffer.str(), to_chrome_trace(rec));
   std::remove(path.c_str());
   EXPECT_THROW(write_chrome_trace(rec, "/nonexistent-dir/trace.json"), Error);
+}
+
+/// The exporter's earlier snprintf/to_string formatter, kept as the
+/// byte-level reference for the to_chars one.
+std::string chrome_trace_via_printf(std::vector<TraceSpan> spans) {
+  std::sort(spans.begin(), spans.end(),
+            [](const TraceSpan& a, const TraceSpan& b) { return a.id < b.id; });
+  const auto append_double = [](std::string& out, double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out += buf;
+  };
+  const auto class_name = [](TrafficClass cls) {
+    switch (cls) {
+      case TrafficClass::kInterApp:
+        return "inter";
+      case TrafficClass::kIntraApp:
+        return "intra";
+      case TrafficClass::kControl:
+        return "control";
+    }
+    return "unknown";
+  };
+  std::string out = R"({"displayTimeUnit":"ms","traceEvents":[)";
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const TraceSpan& s = spans[i];
+    if (i > 0) out += ",\n";
+    const bool instant = (s.flags & TraceFlags::kInstant) != 0;
+    out += R"({"name":")";
+    out += to_string(s.cat);
+    out += R"(","cat":")";
+    out += to_string(s.cat);
+    out += instant ? R"(","ph":"i","s":"t","ts":)" : R"(","ph":"X","ts":)";
+    append_double(out, s.begin * 1e6);
+    if (!instant) {
+      out += R"(,"dur":)";
+      append_double(out, s.duration * 1e6);
+    }
+    out += R"(,"pid":)";
+    out += std::to_string(s.node + 1);
+    out += R"(,"tid":)";
+    out += std::to_string(s.core + 1);
+    out += R"(,"args":{"id":)";
+    out += std::to_string(s.id);
+    out += R"(,"parent":)";
+    out += std::to_string(s.parent);
+    out += R"(,"bytes":)";
+    out += std::to_string(s.bytes);
+    out += R"(,"app":)";
+    out += std::to_string(s.app_id);
+    out += R"(,"class":")";
+    out += class_name(s.cls);
+    out += R"(","flags":)";
+    out += std::to_string(s.flags);
+    out += R"(,"detail":)";
+    out += std::to_string(s.detail);
+    out += "}}";
+  }
+  out += "]}\n";
+  return out;
+}
+
+TEST(ChromeExport, MatchesPrintfReference) {
+  using limits = std::numeric_limits<double>;
+  // Exported values are seconds * 1e6, so the list holds edges both as
+  // seconds and as microseconds / 1e6. %.17g switches to the exponent
+  // form below 1e-4 and from 1e17 on.
+  std::vector<double> edges = {
+      0.0, -0.0, limits::denorm_min(), limits::min() / 3, limits::min(),
+      1e-7, 1e17, 1e22, -1e22, 1e-4 / 1e6, 1e-5 / 1e6, 9.99999e-5 / 1e6,
+      1e17 / 1e6, 1e16 / 1e6, std::nextafter(1e17, 0.0) / 1e6,
+      std::nextafter(1e11, 0.0), 1e11, 0.1, 1.0 / 3.0, 123456.789, -2.5,
+      limits::max() / 1e7};
+  Rng rng(23);
+  while (edges.size() < 200) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) edges.push_back(v);
+  }
+  std::vector<TraceSpan> spans;
+  for (size_t i = 0; i < 600; ++i) {
+    TraceSpan s;
+    s.id = i == 0 ? std::numeric_limits<u64>::max() : rng() % 4096 * 4096 + i;
+    s.parent = i % 7 == 0 ? std::numeric_limits<u64>::max() : rng() >> (i % 64);
+    s.begin = edges[i % edges.size()];
+    s.duration = edges[(i * 7 + 3) % edges.size()];
+    s.bytes = i % 5 == 0 ? std::numeric_limits<u64>::max() : rng() >> (i % 64);
+    s.detail = static_cast<u32>(rng());
+    s.cat = static_cast<SpanCategory>(rng() % 13);
+    s.flags = static_cast<u8>(rng());  // kInstant set in about half
+    s.cls = static_cast<TrafficClass>(rng() % 3);
+    s.app_id = static_cast<i32>(rng());
+    s.node = i % 3 == 0 ? -1 : static_cast<i32>(rng() % 5000);
+    s.core = i % 4 == 0 ? -1 : static_cast<i32>(rng() % 64);
+    spans.push_back(s);
+  }
+  // Unsorted input (the max id leads), then the same spans in id order.
+  const std::string reference = chrome_trace_via_printf(spans);
+  EXPECT_EQ(to_chrome_trace(spans), reference);
+  std::sort(spans.begin(), spans.end(),
+            [](const TraceSpan& a, const TraceSpan& b) { return a.id < b.id; });
+  EXPECT_EQ(to_chrome_trace(spans), reference);
+  EXPECT_EQ(to_chrome_trace(std::vector<TraceSpan>{}),
+            chrome_trace_via_printf({}));
 }
 
 // ---------------------------------------------------------------------------
