@@ -47,7 +47,12 @@ struct SimulatePoint {
   u64 peak_rss_bytes = 0;   ///< process high-water mark after this point
                             ///< (monotone across the sweep: the kernel
                             ///< counter never decreases within a process)
-  u64 arena_bytes = 0;      ///< shared fiber stack + saved stack copies
+  u64 arena_bytes = 0;      ///< shared fiber stack + park slab peak
+  u64 parks = 0;            ///< stack copies taken, both waves
+  u64 park_bytes_p50 = 0;   ///< bytes copied per park: median,
+  u64 park_bytes_p99 = 0;   ///< 99th percentile
+  u64 park_bytes_max = 0;   ///< and deepest
+  u64 parked_bytes = 0;     ///< bytes copied out, summed over every park
   u64 inter_shm = 0;
   u64 inter_net = 0;
   u64 stored_bytes = 0;
@@ -57,10 +62,11 @@ struct SimulatePoint {
 /// Peak-RSS regression budget the CI scale smoke reads back from the
 /// committed JSON: the smoke's process peak RSS divided by its rank
 /// count must stay under this. The smoke's producer-only 262,144-rank
-/// wave measures ~2,630 B/rank, since a parked rank keeps a copy of its
-/// live stack instead of a dirty stack page. Chosen as ~2.3x that, the
-/// slack the previous budget (12,288 over ~5,230 B/rank) left.
-constexpr u64 kRssBudgetBytesPerRank = 6144;
+/// wave measures ~1,980 B/rank now that parked stack copies sit in the
+/// engine's park slab, freed on resume. Chosen as ~2.3x that, the slack
+/// the previous budgets (6,144 over ~2,630 and 12,288 over ~5,230
+/// B/rank) left.
+constexpr u64 kRssBudgetBytesPerRank = 4608;
 
 /// Cluster spec for the simulate rungs: near-cubic torus with just
 /// enough volume, instead of the default exact factorization. Rung node
@@ -126,6 +132,11 @@ SimulatePoint run_simulate_point(i32 side) {
           : 0.0;
   point.peak_rss_bytes = sim.peak_rss_bytes;
   point.arena_bytes = sim.arena_bytes;
+  point.parks = sim.park_depths.parks();
+  point.park_bytes_p50 = sim.park_depths.percentile(0.50);
+  point.park_bytes_p99 = sim.park_depths.percentile(0.99);
+  point.park_bytes_max = sim.park_depths.max_bytes;
+  point.parked_bytes = sim.park_depths.total_bytes;
 
   const ByteCounters inter = metrics.counters(2, TrafficClass::kInterApp);
   point.inter_shm = inter.shm_bytes;
@@ -182,13 +193,20 @@ int run_simulate_sweep(bool smoke, const std::string& out_path) {
         "    {\"side\": %d, \"producer_tasks\": %d, \"consumer_tasks\": %d,"
         " \"ranks\": %d, \"wall_seconds\": %.3f, \"switches\": %llu,"
         " \"switches_per_wall_s\": %.0f, \"peak_rss_bytes\": %llu,"
-        " \"arena_bytes\": %llu, \"inter_shm_bytes\": %llu,"
+        " \"arena_bytes\": %llu, \"parks\": %llu, \"park_bytes_p50\": %llu,"
+        " \"park_bytes_p99\": %llu, \"park_bytes_max\": %llu,"
+        " \"parked_bytes\": %llu, \"inter_shm_bytes\": %llu,"
         " \"inter_net_bytes\": %llu, \"stored_bytes\": %llu,"
         " \"mismatches\": %llu}%s\n",
         p.side, p.producer_tasks, p.consumer_tasks, p.ranks, p.wall_seconds,
         static_cast<unsigned long long>(p.switches), p.switches_per_wall_s,
         static_cast<unsigned long long>(p.peak_rss_bytes),
         static_cast<unsigned long long>(p.arena_bytes),
+        static_cast<unsigned long long>(p.parks),
+        static_cast<unsigned long long>(p.park_bytes_p50),
+        static_cast<unsigned long long>(p.park_bytes_p99),
+        static_cast<unsigned long long>(p.park_bytes_max),
+        static_cast<unsigned long long>(p.parked_bytes),
         static_cast<unsigned long long>(p.inter_shm),
         static_cast<unsigned long long>(p.inter_net),
         static_cast<unsigned long long>(p.stored_bytes),

@@ -1,7 +1,7 @@
 // Hot-path microbenchmarks (docs/PERF.md): sharded vs single-mutex
 // metrics recording under concurrent ranks, interned vs string counter
-// ids, the schedule cache on repeated retrievals, and the
-// simulate-mode fiber switch.
+// ids, the schedule cache on repeated retrievals, the simulate-mode
+// fiber switch, and simulate-mode park and resume copies.
 //
 //   build/bench/micro_hotpath --benchmark_counters_tabular=true
 //
@@ -173,6 +173,69 @@ void BM_SimFiberPingPong(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_SimFiberPingPong)->Unit(benchmark::kMillisecond);
+
+// --------------------------------------------------------------------------
+// Park and resume copies: N fibers park once shallow, then, resumed in
+// turn, once 1 KiB deeper — the two parks of a weak-scaling rank (its
+// split, then its barrier). per_park divides wall time by the parks
+// (SimStats::switches / 2 less one first dispatch per fiber), so it
+// includes the dispatch and the CondVar hook around each copy out and
+// back; slab_B_per_fiber is SimStats::arena_bytes less the shared stack,
+// over N.
+// --------------------------------------------------------------------------
+
+/// All fibers of a run meet here; each meeting parks every fiber but the
+/// last to arrive.
+struct Meeting {
+  Mutex mu{"bench.sim_meeting"};
+  CondVar cv;
+  i32 fibers = 0;
+  i32 arrived = 0;
+  i32 round = 0;
+
+  void meet() {
+    MutexLock lock(mu);
+    const i32 mine = round;
+    if (++arrived == fibers) {
+      arrived = 0;
+      ++round;
+      cv.notify_all();
+      return;
+    }
+    while (round == mine) cv.wait(lock);
+  }
+};
+
+[[gnu::noinline]] void meet_below_1k(Meeting& meeting) {
+  volatile u64 frame[128];
+  frame[0] = 1;
+  meeting.meet();
+  frame[127] = frame[0];
+}
+
+void BM_SimParkTwoDepths(benchmark::State& state) {
+  const auto fibers = static_cast<i32>(state.range(0));
+  u64 parks = 0;
+  u64 slab_bytes = 0;
+  for (auto _ : state) {
+    Meeting meeting;
+    meeting.fibers = fibers;
+    SimEngine sim;
+    sim.run(fibers, [&](i32) {
+      meeting.meet();
+      meet_below_1k(meeting);
+    });
+    parks += sim.stats().switches / 2 - static_cast<u64>(fibers);
+    slab_bytes = sim.stats().arena_bytes -
+                 static_cast<u64>(SimEngine::kDefaultStackBytes);
+  }
+  state.counters["per_park"] = benchmark::Counter(
+      static_cast<double>(parks),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["slab_B_per_fiber"] = static_cast<double>(slab_bytes) / fibers;
+}
+BENCHMARK(BM_SimParkTwoDepths)->Arg(4096)->Arg(65536)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -80,25 +80,30 @@ class MailboxPool {
   /// Blocks until a message with the given comm_tag (and source, unless
   /// kAnySource) is queued for `rank`, removes and returns it. FIFO per
   /// match. Throws after `timeout` so one failed rank cannot deadlock the
-  /// run.
-  Message pop(i32 rank, i32 src_global, i64 comm_tag,
-              std::chrono::seconds timeout) {
+  /// run. Inlined into its caller, and `m` is built in the caller's return
+  /// slot: a simulate fiber parks in here, and its stack copy holds every
+  /// frame on the way.
+  [[gnu::always_inline]] Message pop(i32 rank, i32 src_global, i64 comm_tag,
+                                     std::chrono::seconds timeout) {
+    Message m;
     MutexLock lock(mutex_);
     const WaitDeadline deadline(timeout);
     Cell& c = cell(rank);
-    for (;;) {
-      if (auto m = match_locked(c, src_global, comm_tag)) return std::move(*m);
+    while (!take_locked(c, src_global, comm_tag, m)) {
       if (c.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
         fail("recv timed out waiting for a matching message");
       }
     }
+    return m;
   }
 
   /// Non-blocking pop: the first matching message, or nullopt when none
   /// is queued.
   std::optional<Message> try_pop(i32 rank, i32 src_global, i64 comm_tag) {
     MutexLock lock(mutex_);
-    return match_locked(cell(rank), src_global, comm_tag);
+    Message m;
+    if (!take_locked(cell(rank), src_global, comm_tag, m)) return std::nullopt;
+    return m;
   }
 
   /// Queued messages for `rank` (diagnostics).
@@ -174,27 +179,30 @@ class MailboxPool {
            (src_global == kAnySource || s.src_global == src_global);
   }
 
-  std::optional<Message> match_locked(Cell& c, i32 src_global, i64 comm_tag)
-      CODS_REQUIRES(mutex_) {
-    if (!c.full) return std::nullopt;  // spill is only fed while full
+  /// Moves the first queued match into `out`; false when none is queued.
+  /// Out of line, so that pop()'s frame, which a parked simulate fiber's
+  /// stack copy holds, carries none of its temporaries.
+  [[gnu::noinline]] bool take_locked(Cell& c, i32 src_global, i64 comm_tag,
+                                     Message& out) CODS_REQUIRES(mutex_) {
+    if (!c.full) return false;  // spill is only fed while full
     if (matches(c.slot, src_global, comm_tag)) {
-      Message m = to_message(std::move(c.slot));
+      out = to_message(std::move(c.slot));
       refill(c);
-      return m;
+      return true;
     }
-    if (c.spill == nullptr) return std::nullopt;
+    if (c.spill == nullptr) return false;
     Spill& spill = *c.spill;
     for (std::size_t i = spill.head; i < spill.q.size(); ++i) {
       if (!matches(spill.q[i], src_global, comm_tag)) continue;
-      Message m = to_message(std::move(spill.q[i]));
+      out = to_message(std::move(spill.q[i]));
       if (i == spill.head) {
         advance_head(spill);
       } else {
         spill.q.erase(spill.q.begin() + static_cast<std::ptrdiff_t>(i));
       }
-      return m;
+      return true;
     }
-    return std::nullopt;
+    return false;
   }
 
   void refill(Cell& c) CODS_REQUIRES(mutex_) {

@@ -28,6 +28,24 @@ constexpr u32 kOpAlltoall = 5;
 constexpr u32 kOpAllreduce = 6;
 constexpr u32 kOpSplit = 7;
 
+/// One rank's split() request, gathered at rank 0.
+struct SplitEntry {
+  i32 color;
+  i32 key;
+  i32 old_rank;
+};
+
+/// Rank 0's split() answer to one rank. The member list itself travels
+/// out of band: the root registers each group's global-rank vector with
+/// the shared Runtime and peers attach by comm id, so the split protocol
+/// stays O(n) in mailbox bytes instead of mailing every member an
+/// O(group)-sized copy.
+struct SplitAssignment {
+  i64 comm_id;
+  i32 my_index;
+  i32 group_size;
+};
+
 }  // namespace
 
 bool Comm::RecvRequest::test() {
@@ -83,25 +101,33 @@ Message Comm::recv_impl(i32 src, i32 tag) const {
   CODS_REQUIRE(valid(), "invalid communicator");
   const i32 src_global = src == kAnySource ? kAnySource : global_rank(src);
   const i32 my_global = global_rank(my_index_);
-  if (FaultInjector* fault = runtime_->dart().fault_injector()) {
-    const i32 my_node = runtime_->loc(my_global).node;
-    if (fault->is_dead(my_node)) {
-      throw NodeDownError(my_node, "node " + std::to_string(my_node) +
-                                       " is down (receiver)");
+  if (const FaultInjector* fault = runtime_->dart().fault_injector()) {
+    return recv_faulted(*fault, src_global, my_global, tag);
+  }
+  return runtime_->mail().pop(my_global, src_global, comm_tag(tag),
+                              runtime_->recv_timeout());
+}
+
+[[gnu::noinline]] Message Comm::recv_faulted(const FaultInjector& fault,
+                                             i32 src_global, i32 my_global,
+                                             i32 tag) const {
+  const i32 my_node = runtime_->loc(my_global).node;
+  if (fault.is_dead(my_node)) {
+    throw NodeDownError(my_node, "node " + std::to_string(my_node) +
+                                     " is down (receiver)");
+  }
+  if (src_global != kAnySource) {
+    // A message the peer sent before dying is still deliverable; only
+    // block on a live peer.
+    if (auto m = runtime_->mail().try_pop(my_global, src_global,
+                                          comm_tag(tag))) {
+      return std::move(*m);
     }
-    if (src_global != kAnySource) {
-      // A message the peer sent before dying is still deliverable; only
-      // block on a live peer.
-      if (auto m = runtime_->mail().try_pop(my_global, src_global,
-                                            comm_tag(tag))) {
-        return std::move(*m);
-      }
-      const i32 src_node = runtime_->loc(src_global).node;
-      if (fault->is_dead(src_node)) {
-        throw NodeDownError(src_node, "recv peer's node " +
-                                          std::to_string(src_node) +
-                                          " is down");
-      }
+    const i32 src_node = runtime_->loc(src_global).node;
+    if (fault.is_dead(src_node)) {
+      throw NodeDownError(src_node, "recv peer's node " +
+                                        std::to_string(src_node) +
+                                        " is down");
     }
   }
   return runtime_->mail().pop(my_global, src_global, comm_tag(tag),
@@ -125,8 +151,7 @@ void Comm::bcast(i32 root, std::vector<std::byte>& data) const {
       send(r, kTagBcast, data);
     }
   } else {
-    const Message m = recv(root, kTagBcast);
-    data = m.payload;
+    data = recv(root, kTagBcast).payload;
   }
 }
 
@@ -238,73 +263,15 @@ double Comm::allreduce_min(double value) const {
 Comm Comm::split(i32 color, i32 key) const {
   CODS_REQUIRE(valid(), "invalid communicator");
   ScopedSpan span(SpanCategory::kCollective, 0, kOpSplit);
-  struct Entry {
-    i32 color;
-    i32 key;
-    i32 old_rank;
-  };
-  const Entry mine{color, key, my_index_};
-  auto gathered = gather(
-      0, std::span(reinterpret_cast<const std::byte*>(&mine), sizeof(Entry)));
-
-  struct Assignment {
-    i64 comm_id;
-    i32 my_index;
-    i32 group_size;
-    // The member list itself travels out of band: the root registers
-    // each group's global-rank vector with the shared Runtime and peers
-    // attach by comm id, so the split protocol stays O(n) in mailbox
-    // bytes instead of mailing every member an O(group)-sized copy.
-  };
-
-  std::vector<std::byte> my_assignment;
-  if (my_index_ == 0) {
-    std::vector<Entry> entries;
-    entries.reserve(gathered.size());
-    for (const auto& buf : gathered) {
-      Entry e;
-      std::memcpy(&e, buf.data(), sizeof(Entry));
-      entries.push_back(e);
-    }
-    std::map<i32, std::vector<Entry>> groups;
-    for (const Entry& e : entries) {
-      if (e.color >= 0) groups[e.color].push_back(e);
-    }
-    // Build each group's member list (global ranks) ordered by (key, rank).
-    std::vector<std::vector<std::byte>> assignments(
-        static_cast<size_t>(size()));
-    for (auto& [c, group] : groups) {
-      std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-        return std::tie(a.key, a.old_rank) < std::tie(b.key, b.old_rank);
-      });
-      const i64 comm_id = runtime_->alloc_comm_id();
-      auto globals = std::make_shared<std::vector<i32>>();
-      globals->reserve(group.size());
-      for (const Entry& e : group) globals->push_back(global_rank(e.old_rank));
-      runtime_->register_comm_group(comm_id, globals);
-      for (size_t i = 0; i < group.size(); ++i) {
-        Assignment a{comm_id, static_cast<i32>(i),
-                     static_cast<i32>(group.size())};
-        const auto* head = reinterpret_cast<const std::byte*>(&a);
-        assignments[static_cast<size_t>(group[i].old_rank)] =
-            std::vector<std::byte>(head, head + sizeof(Assignment));
-      }
-    }
-    // Colorless ranks get an empty assignment.
-    for (i32 r = 0; r < size(); ++r) {
-      if (r == 0) {
-        my_assignment = assignments[0];
-      } else {
-        send(r, kTagSplit, assignments[static_cast<size_t>(r)]);
-      }
-    }
-  } else {
-    my_assignment = recv(0, kTagSplit).payload;
-  }
+  const SplitEntry mine{color, key, my_index_};
+  const auto gathered = gather(
+      0, std::span(reinterpret_cast<const std::byte*>(&mine), sizeof(mine)));
+  const std::vector<std::byte> my_assignment =
+      my_index_ == 0 ? split_assign(gathered) : recv(0, kTagSplit).payload;
 
   if (my_assignment.empty()) return Comm{};  // negative color
-  Assignment a;
-  std::memcpy(&a, my_assignment.data(), sizeof(Assignment));
+  SplitAssignment a;
+  std::memcpy(&a, my_assignment.data(), sizeof(SplitAssignment));
   auto members = runtime_->comm_group(a.comm_id);
   CODS_CHECK(members != nullptr &&
                  static_cast<i32>(members->size()) == a.group_size,
@@ -316,6 +283,49 @@ Comm Comm::split(i32 color, i32 key) const {
   out.app_id_ = app_id_;
   out.members_ = std::move(members);
   return out;
+}
+
+[[gnu::noinline]] std::vector<std::byte> Comm::split_assign(
+    const std::vector<std::vector<std::byte>>& gathered) const {
+  std::vector<SplitEntry> entries;
+  entries.reserve(gathered.size());
+  for (const auto& buf : gathered) {
+    SplitEntry e;
+    std::memcpy(&e, buf.data(), sizeof(SplitEntry));
+    entries.push_back(e);
+  }
+  std::map<i32, std::vector<SplitEntry>> groups;
+  for (const SplitEntry& e : entries) {
+    if (e.color >= 0) groups[e.color].push_back(e);
+  }
+  // Build each group's member list (global ranks) ordered by (key, rank).
+  std::vector<std::vector<std::byte>> assignments(static_cast<size_t>(size()));
+  for (auto& [c, group] : groups) {
+    std::sort(group.begin(), group.end(),
+              [](const SplitEntry& a, const SplitEntry& b) {
+                return std::tie(a.key, a.old_rank) <
+                       std::tie(b.key, b.old_rank);
+              });
+    const i64 comm_id = runtime_->alloc_comm_id();
+    auto globals = std::make_shared<std::vector<i32>>();
+    globals->reserve(group.size());
+    for (const SplitEntry& e : group) {
+      globals->push_back(global_rank(e.old_rank));
+    }
+    runtime_->register_comm_group(comm_id, globals);
+    for (size_t i = 0; i < group.size(); ++i) {
+      SplitAssignment a{comm_id, static_cast<i32>(i),
+                        static_cast<i32>(group.size())};
+      const auto* head = reinterpret_cast<const std::byte*>(&a);
+      assignments[static_cast<size_t>(group[i].old_rank)] =
+          std::vector<std::byte>(head, head + sizeof(SplitAssignment));
+    }
+  }
+  // Colorless ranks get an empty assignment.
+  for (i32 r = 1; r < size(); ++r) {
+    send(r, kTagSplit, assignments[static_cast<size_t>(r)]);
+  }
+  return std::move(assignments[0]);
 }
 
 void Runtime::register_comm_group(

@@ -145,6 +145,13 @@ class Comm {
 
   i64 comm_tag(i32 tag) const;
   Message recv_impl(i32 src, i32 tag) const;
+  // Out of line, so that the frames a parked simulate fiber's stack copy
+  // holds (docs/SIMULATION.md "Park and resume copy") carry none of
+  // their locals.
+  Message recv_faulted(const FaultInjector& fault, i32 src_global,
+                       i32 my_global, i32 tag) const;
+  std::vector<std::byte> split_assign(
+      const std::vector<std::vector<std::byte>>& gathered) const;
 };
 
 /// Per-rank context handed to the body function.

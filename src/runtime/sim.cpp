@@ -1,12 +1,16 @@
 #include "runtime/sim.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <deque>
+#include <exception>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -24,6 +28,7 @@
 #include "common/sync.hpp"
 #include "health/task_clock.hpp"
 #include "runtime/calendar_queue.hpp"
+#include "runtime/park_slab.hpp"
 #include "trace/trace.hpp"
 
 // Fiber-switch annotations keep the sanitizers' shadow state coherent
@@ -104,6 +109,226 @@ cods_fiber_switch:
 #endif
 
 namespace cods {
+
+// ---- park depths ----
+
+void ParkDepths::add(std::size_t bytes) {
+  const auto depth = static_cast<u32>(bytes);  // below the 96 KiB stack
+  auto bin = std::lower_bound(
+      bins.begin(), bins.end(), depth,
+      [](const std::pair<u32, u64>& b, u32 d) { return b.first < d; });
+  if (bin == bins.end() || bin->first != depth) {
+    bin = bins.insert(bin, {depth, 0});
+  }
+  ++bin->second;
+  total_bytes += bytes;
+  max_bytes = std::max<u64>(max_bytes, bytes);
+}
+
+void ParkDepths::merge(const ParkDepths& other) {
+  std::vector<std::pair<u32, u64>> merged;
+  merged.reserve(bins.size() + other.bins.size());
+  auto mine = bins.begin();
+  auto theirs = other.bins.begin();
+  while (mine != bins.end() || theirs != other.bins.end()) {
+    if (theirs == other.bins.end() ||
+        (mine != bins.end() && mine->first < theirs->first)) {
+      merged.push_back(*mine++);
+    } else if (mine == bins.end() || theirs->first < mine->first) {
+      merged.push_back(*theirs++);
+    } else {
+      merged.emplace_back(mine->first, mine->second + theirs->second);
+      ++mine;
+      ++theirs;
+    }
+  }
+  bins = std::move(merged);
+  total_bytes += other.total_bytes;
+  max_bytes = std::max(max_bytes, other.max_bytes);
+}
+
+u64 ParkDepths::parks() const {
+  u64 n = 0;
+  for (const auto& [depth, count] : bins) n += count;
+  return n;
+}
+
+u64 ParkDepths::percentile(double q) const {
+  const u64 n = parks();
+  if (n == 0) return 0;
+  // Nearest rank: the ceil(q * n)-th smallest park, at least the first.
+  const double wanted = std::ceil(q * static_cast<double>(n));
+  const u64 rank = std::max<u64>(1, static_cast<u64>(wanted));
+  u64 seen = 0;
+  for (const auto& [depth, count] : bins) {
+    seen += count;
+    if (seen >= rank) return depth;
+  }
+  return max_bytes;
+}
+
+// ---- park slab ----
+
+struct alignas(16) ParkSlab::Chunk {
+  // Neighbours on its class's list of chunks with a free slot.
+  Chunk* prev = nullptr;
+  Chunk* next = nullptr;
+  std::byte* free = nullptr;  // freed slots, linked by their first word
+  u32 index = 0;              // position in ParkSlab::chunks_
+  u32 payload = 0;            // bytes after this header
+  u32 cls = 0;                // size class, or kDedicated
+  u32 capacity = 0;           // slots
+  u32 carved = 0;             // slots cut from the untouched tail
+  u32 used = 0;               // slots held
+
+  static constexpr u32 kDedicated = ~u32{0};
+  std::byte* data() { return reinterpret_cast<std::byte*>(this + 1); }
+};
+
+namespace {
+
+constexpr std::size_t slot_bytes(std::size_t cls) {
+  return (cls + 1) * ParkSlab::kClassStep;
+}
+static_assert(ParkSlab::kMinSlots * ParkSlab::kLargestClass <=
+              ParkSlab::kMaxChunkBytes);
+
+// Under ASan the slab keeps every byte no copy holds poisoned, except a
+// free slot's first word (its free-list link), so a copy read or
+// written through a released slot is reported like a heap
+// use-after-free.
+void poison(std::byte* p, std::size_t n) {
+#if defined(CODS_SIM_ASAN)
+  __asan_poison_memory_region(p, n);
+#else
+  (void)p;
+  (void)n;
+#endif
+}
+void unpoison(std::byte* p, std::size_t n) {
+#if defined(CODS_SIM_ASAN)
+  __asan_unpoison_memory_region(p, n);
+#else
+  (void)p;
+  (void)n;
+#endif
+}
+
+}  // namespace
+
+ParkSlab::~ParkSlab() {
+  for (Chunk* chunk : chunks_) ::operator delete(chunk);
+}
+
+ParkSlab::Slot ParkSlab::acquire(std::size_t bytes) {
+  if (bytes > kLargestClass) {
+    Chunk* own = allocate((bytes + kClassStep - 1) & ~(kClassStep - 1));
+    own->cls = Chunk::kDedicated;
+    unpoison(own->data(), bytes);
+    return Slot{own->data(), own};
+  }
+  const std::size_t cls = (bytes - 1) / kClassStep;
+  if (cls >= partial_.size()) partial_.resize(cls + 1, nullptr);
+  Chunk* chunk = partial_[cls];
+  if (chunk == nullptr) chunk = new_chunk(cls);
+  std::byte* slot;
+  if (chunk->free != nullptr) {
+    slot = chunk->free;
+    std::memcpy(&chunk->free, slot, sizeof chunk->free);
+  } else {
+    slot = chunk->data() + std::size_t{chunk->carved++} * slot_bytes(cls);
+  }
+  if (++chunk->used == chunk->capacity) unlink(chunk);
+  unpoison(slot, bytes);
+  return Slot{slot, chunk};
+}
+
+void ParkSlab::release(Slot slot) {
+  Chunk* chunk = slot.chunk;
+  if (chunk->cls == Chunk::kDedicated) {
+    free_chunk(chunk);
+    return;
+  }
+  const bool was_full = chunk->used == chunk->capacity;
+  if (--chunk->used == 0) {
+    // Empty: any class may carve it next, from its start.
+    if (!was_full) unlink(chunk);
+    chunk->free = nullptr;
+    chunk->carved = 0;
+    poison(chunk->data(), chunk->payload);
+    pool_.push_back(chunk);
+    return;
+  }
+  poison(slot.data, slot_bytes(chunk->cls));
+  unpoison(slot.data, sizeof chunk->free);
+  std::memcpy(slot.data, &chunk->free, sizeof chunk->free);
+  chunk->free = slot.data;
+  if (was_full) {
+    // Back on its class's list, in front: the next park of this class
+    // fills it before touching a chunk that may empty out.
+    chunk->prev = nullptr;
+    chunk->next = partial_[chunk->cls];
+    if (chunk->next != nullptr) chunk->next->prev = chunk;
+    partial_[chunk->cls] = chunk;
+  }
+}
+
+ParkSlab::Chunk* ParkSlab::new_chunk(std::size_t cls) {
+  const std::size_t slot = slot_bytes(cls);
+  // A pooled chunk too small for kMinSlots of this class goes back to
+  // the heap, which can coalesce it, rather than serve one or two slots.
+  while (!pool_.empty() && pool_.back()->payload < kMinSlots * slot) {
+    Chunk* small = pool_.back();
+    pool_.pop_back();
+    free_chunk(small);
+  }
+  Chunk* chunk;
+  if (!pool_.empty()) {
+    chunk = pool_.back();
+    pool_.pop_back();
+  } else {
+    const std::size_t grown = std::bit_floor(std::max<u64>(bytes_ / 32, 1));
+    chunk = allocate(std::clamp(grown, kMinSlots * slot, kMaxChunkBytes));
+  }
+  chunk->cls = static_cast<u32>(cls);
+  chunk->capacity = static_cast<u32>(chunk->payload / slot);
+  chunk->prev = nullptr;
+  chunk->next = nullptr;
+  partial_[cls] = chunk;
+  return chunk;
+}
+
+ParkSlab::Chunk* ParkSlab::allocate(std::size_t payload) {
+  auto* chunk = new (::operator new(sizeof(Chunk) + payload)) Chunk{};
+  chunk->payload = static_cast<u32>(payload);
+  poison(chunk->data(), payload);
+  chunk->index = static_cast<u32>(chunks_.size());
+  chunks_.push_back(chunk);
+  bytes_ += sizeof(Chunk) + payload;
+  peak_bytes_ = std::max(peak_bytes_, bytes_);
+  return chunk;
+}
+
+void ParkSlab::free_chunk(Chunk* chunk) {
+  Chunk* last = chunks_.back();
+  chunks_[chunk->index] = last;
+  last->index = chunk->index;
+  chunks_.pop_back();
+  bytes_ -= sizeof(Chunk) + chunk->payload;
+  ::operator delete(chunk);
+}
+
+void ParkSlab::unlink(Chunk* chunk) {
+  if (chunk->prev != nullptr) {
+    chunk->prev->next = chunk->next;
+  } else {
+    partial_[chunk->cls] = chunk->next;
+  }
+  if (chunk->next != nullptr) chunk->next->prev = chunk->prev;
+  chunk->prev = nullptr;
+  chunk->next = nullptr;
+}
+
 namespace {
 
 struct Impl;
@@ -126,23 +351,26 @@ struct ContextRec {
 #if !defined(CODS_SIM_ASM_SWITCH)
   ucontext_t ctx{};
 #endif
+#if defined(CODS_SIM_ASAN)
   void* fake_stack = nullptr;  // ASan fake-frame save slot
-  void* tsan = nullptr;        // TSan logical-thread handle
+#endif
+#if defined(CODS_SIM_TSAN)
+  void* tsan = nullptr;  // TSan logical-thread handle
+#endif
 };
 
 /// The per-fiber state that only a started fiber needs — saved context,
 /// saved stack copy, parked thread-local state. Allocated only while a
 /// fiber is live (started, not yet done) and recycled through a free
-/// pool, so at 10^6 ranks the engine holds peak-co-residency LiveFibers,
-/// not one per rank. Pointer-stable (pool of unique_ptr): a suspended
-/// fiber's switch stored its stack pointer into the record by address.
+/// list, so at 10^6 ranks the engine holds peak-co-residency LiveFibers,
+/// not one per rank. Pointer-stable (records live in a deque): a
+/// suspended fiber's switch stored its stack pointer into the record by
+/// address.
 struct LiveFiber {
   ContextRec rec;
-  /// The fiber's live stack, [rec.sp, shared stack top), copied out while
-  /// it is parked. Grows to the deepest park of any fiber that used this
-  /// record and is recycled with it.
-  std::unique_ptr<std::byte[]> saved;
-  std::size_t saved_capacity = 0;
+  /// The fiber's live stack, [rec.sp, shared stack top), copied into a
+  /// park slab slot while it is parked; no slot while it runs.
+  ParkSlab::Slot saved;
   /// Thread-local state parked here while the fiber is switched out.
   TaskClock::Snapshot clock{};
   TraceContext* trace = nullptr;
@@ -317,10 +545,7 @@ struct Impl : blocking::SimHook {
     t_impl = prev_impl;
     blocking::install_sim_hook(prev_hook);
     stats_->stacks = static_cast<i32>(live_pool_.size());
-    stats_->arena_bytes = SharedStack::kBytes;
-    for (const auto& live : live_pool_) {
-      stats_->arena_bytes += live->saved_capacity;
-    }
+    stats_->arena_bytes = SharedStack::kBytes + slab_.peak_bytes();
     stats_->ready_rebuilds = ready_.rebuilds();
     stats_->peak_rss_bytes = read_peak_rss_bytes();
     // Surface the lowest-index escaped exception, mirroring the pooled
@@ -364,32 +589,32 @@ struct Impl : blocking::SimHook {
     }
   }
 
-  /// Copies a parked fiber's live stack out of the shared stack.
+  /// Copies a parked fiber's live stack out of the shared stack into a
+  /// slab slot of its depth's class.
   void save_stack(LiveFiber& live) {
     auto* sp = static_cast<std::byte*>(live.rec.sp);
     const auto depth = static_cast<std::size_t>(stack_.top() - sp);
-    if (depth > live.saved_capacity) {
-      live.saved_capacity = (depth + 15) & ~std::size_t{15};
-      live.saved =
-          std::make_unique_for_overwrite<std::byte[]>(live.saved_capacity);
-    }
+    stats_->park_depths.add(depth);
+    live.saved = slab_.acquire(depth);
 #if defined(CODS_SIM_ASAN)
     // The fiber's frames carry redzones; lift them so the copy may read.
     __asan_unpoison_memory_region(sp, depth);
 #endif
-    std::memcpy(live.saved.get(), sp, depth);
+    std::memcpy(live.saved.data, sp, depth);
   }
 
-  /// Copies a parked fiber's saved stack back to where it ran. Its
-  /// frames come back without redzones: the shadow still describes the
-  /// frames of whichever fiber ran there last.
-  void restore_stack(const LiveFiber& live) {
+  /// Copies a parked fiber's saved stack back to where it ran and frees
+  /// its slot. Its frames come back without redzones: the shadow still
+  /// describes the frames of whichever fiber ran there last.
+  void restore_stack(LiveFiber& live) {
     auto* sp = static_cast<std::byte*>(live.rec.sp);
     const auto depth = static_cast<std::size_t>(stack_.top() - sp);
 #if defined(CODS_SIM_ASAN)
     __asan_unpoison_memory_region(sp, depth);
 #endif
-    std::memcpy(sp, live.saved.get(), depth);
+    std::memcpy(sp, live.saved.data, depth);
+    slab_.release(live.saved);
+    live.saved = ParkSlab::Slot{};
   }
 
   void prepare(Fiber& f) {
@@ -398,12 +623,13 @@ struct Impl : blocking::SimHook {
       live = free_live_.back();
       free_live_.pop_back();
     } else {
-      live_pool_.push_back(std::make_unique<LiveFiber>());
-      live = live_pool_.back().get();
+      live = &live_pool_.emplace_back();
     }
     live->clock = TaskClock::Snapshot{};
     live->trace = nullptr;
+#if defined(CODS_SIM_ASAN)
     live->rec.fake_stack = nullptr;
+#endif
 #if defined(CODS_SIM_TSAN)
     live->rec.tsan = __tsan_create_fiber(0);
 #endif
@@ -451,10 +677,9 @@ struct Impl : blocking::SimHook {
     __tsan_destroy_fiber(live->rec.tsan);
     live->rec.tsan = nullptr;
 #endif
-    // Recycle the record and its saved-stack buffer for not-yet-started
-    // fibers: peak allocation tracks co-resident ranks, not total ranks,
-    // so pipeline-shaped workloads enact 1M ranks in a handful of
-    // records.
+    // Recycle the record for not-yet-started fibers: peak allocation
+    // tracks co-resident ranks, not total ranks, so pipeline-shaped
+    // workloads enact 1M ranks in a handful of records.
     free_live_.push_back(live);
     f.live = nullptr;
   }
@@ -630,7 +855,11 @@ struct Impl : blocking::SimHook {
   // model; the fibers are cooperatively scheduled on one OS thread, so
   // the lock discipline the analysis protects still holds dynamically.
 
-  void lock(Mutex& mu) CODS_NO_THREAD_SAFETY_ANALYSIS override {
+  // Out of line: wait() and wait_until() re-lock after every resume, and
+  // an inlined contention loop would widen their frames, which every
+  // parked copy holds.
+  [[gnu::noinline]] void lock(Mutex& mu)
+      CODS_NO_THREAD_SAFETY_ANALYSIS override {
     if (cur_ == nullptr) {
       // Scheduler-context acquisition: single-threaded, so any holder
       // would be a suspended fiber and the acquisition would deadlock.
@@ -664,16 +893,32 @@ struct Impl : blocking::SimHook {
     }
   }
 
+  /// Registers the running fiber as a waiter on `cv` and releases `mu`;
+  /// `seconds` > 0 adds a virtual deadline. Out of line, and returns
+  /// before the fiber parks: the waits' frames, which the parked copy
+  /// holds, then carry none of its locals.
+  [[gnu::noinline]] void register_wait(const void* cv, Mutex& mu, Fiber& f,
+                                       double seconds)
+      CODS_NO_THREAD_SAFETY_ANALYSIS {
+    append_waiter(cv_waiters_, cv, f);  // may throw: register holding mu
+    mu.unlock();
+    f.wait_key = cv;
+    f.timed = seconds > 0.0;
+    f.timed_out = false;
+    ++f.wait_epoch;
+    if (f.timed) {
+      // TaskClock::elapsed() is the fiber's live virtual clock (its
+      // state is swapped into the thread while the fiber runs).
+      f.deadline = TaskClock::elapsed() + seconds;
+      push_timed(f.deadline, f);
+    }
+  }
+
   void wait(const void* cv, Mutex& mu)
       CODS_NO_THREAD_SAFETY_ANALYSIS override {
     Fiber& f = require_fiber();
     if (f.cancelled) throw_cancelled();
-    append_waiter(cv_waiters_, cv, f);  // may throw: register holding mu
-    mu.unlock();
-    f.wait_key = cv;
-    f.timed = false;
-    f.timed_out = false;
-    ++f.wait_epoch;
+    register_wait(cv, mu, f, 0.0);
     suspend();
     f.wait_key = nullptr;
     mu.lock();
@@ -688,16 +933,7 @@ struct Impl : blocking::SimHook {
       ++stats_->timeouts;
       return true;
     }
-    append_waiter(cv_waiters_, cv, f);  // may throw: register holding mu
-    mu.unlock();
-    f.wait_key = cv;
-    f.timed = true;
-    f.timed_out = false;
-    ++f.wait_epoch;
-    // TaskClock::elapsed() is the fiber's live virtual clock (its state
-    // is swapped into the thread while the fiber runs).
-    f.deadline = TaskClock::elapsed() + seconds;
-    push_timed(f.deadline, f);
+    register_wait(cv, mu, f, seconds);
     suspend();
     f.wait_key = nullptr;
     f.timed = false;
@@ -755,8 +991,10 @@ struct Impl : blocking::SimHook {
   const std::function<void(i32)>& body_;
   SharedStack stack_;
   std::vector<Fiber> fibers_;
-  std::vector<std::unique_ptr<LiveFiber>> live_pool_;
+  std::deque<LiveFiber> live_pool_;
   std::vector<LiveFiber*> free_live_;
+  /// Stack copies of parked fibers; a slot is held from park to resume.
+  ParkSlab slab_;
   std::vector<std::pair<i32, std::exception_ptr>> errors_;
   ContextRec sched_;
   /// The scheduler's native stack, learned at a fiber's first entry

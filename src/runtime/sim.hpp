@@ -5,8 +5,9 @@
 // keyed by virtual timestamp. On x86-64 a switch saves only the
 // callee-saved registers and FP control words and makes no syscall;
 // other ISAs switch through glibc ucontext. Every fiber runs on one
-// shared stack; a parked fiber's live frames are copied out to a buffer
-// and back on resume, so nothing may point into a parked fiber's stack.
+// shared stack; a parked fiber's live frames are copied out to a slot of
+// the engine's park slab (runtime/park_slab.hpp) and back on resume, so
+// nothing may point into a parked fiber's stack.
 // A fiber's virtual time is the modelled time its TaskClock accumulated —
 // the same per-operation costs the live modes charge — so event order
 // follows the cost model, not the host scheduler. Blocking never parks
@@ -28,11 +29,31 @@
 // operation).
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 
 namespace cods {
+
+/// How deep the parks of one or more runs were: the bytes each park
+/// copied out of the shared stack.
+struct ParkDepths {
+  /// (depth in bytes, parks at that depth), by depth. A run parks at a
+  /// few distinct depths, so this stays a few entries long.
+  std::vector<std::pair<u32, u64>> bins;
+  u64 total_bytes = 0;  ///< bytes copied out, summed over every park
+  u64 max_bytes = 0;    ///< the deepest park
+
+  void add(std::size_t bytes);
+  void merge(const ParkDepths& other);
+  u64 parks() const;
+  /// The smallest depth that at least a fraction `q` of the parks do not
+  /// exceed; 0 when nothing parked.
+  u64 percentile(double q) const;
+};
 
 /// Accounting of one SimEngine::run(): the discrete-event counterpart of
 /// ExecutorStats (runtime/executor.hpp).
@@ -46,12 +67,13 @@ struct SimStats {
   i32 peak_blocked = 0;   ///< max fibers simultaneously suspended
   i32 stacks = 0;  ///< peak co-resident started fibers (pooled LiveFibers)
   double final_vtime = 0.0;  ///< largest virtual clock any fiber reached
-  /// Fiber stack memory: the shared stack plus the peak total capacity of
-  /// parked fibers' saved stack copies.
+  /// Fiber stack memory: the shared stack plus the park slab's peak
+  /// bytes (the chunks that held parked fibers' stack copies).
   u64 arena_bytes = 0;
   u64 peak_rss_bytes = 0;  ///< process peak RSS after the run (high-water
                            ///< mark over the process lifetime, not per-run)
   u64 ready_rebuilds = 0;  ///< calendar-queue bucket rebuilds
+  ParkDepths park_depths;  ///< bytes copied out per park
 };
 
 /// Single-threaded discrete-event executor with the same run(n, body)

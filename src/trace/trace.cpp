@@ -137,9 +137,42 @@ void TraceRecorder::flush() {
 std::vector<TraceSpan> TraceRecorder::snapshot() {
   flush();
   MutexLock lock(mutex_);
-  std::vector<TraceSpan> out = spans_;
-  std::sort(out.begin(), out.end(),
-            [](const TraceSpan& a, const TraceSpan& b) { return a.id < b.id; });
+  // A track's ids share their high bits (the track key), so tracks hold
+  // disjoint id ranges, and each drain appended a run of one track's
+  // spans in the order they were emitted. Gathering the runs track by
+  // track leaves only the disorder nesting makes: a span is emitted when
+  // it ends, after the spans it encloses. An insertion pass moves each
+  // span back over its descendants, so it costs the spans' summed
+  // nesting depth, not a sort.
+  struct Run {
+    u64 track;
+    size_t begin;
+    size_t end;
+  };
+  std::vector<Run> runs;
+  for (size_t i = 0; i < spans_.size();) {
+    const u64 track = spans_[i].id >> kSeqBits;
+    size_t end = i + 1;
+    while (end < spans_.size() && spans_[end].id >> kSeqBits == track) ++end;
+    runs.push_back(Run{track, i, end});
+    i = end;
+  }
+  std::stable_sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+    return a.track < b.track;
+  });
+  std::vector<TraceSpan> out;
+  out.reserve(spans_.size());
+  const TraceSpan* drained = spans_.data();
+  for (const Run& run : runs) {
+    out.insert(out.end(), drained + run.begin, drained + run.end);
+  }
+  for (size_t i = 1; i < out.size(); ++i) {
+    if (out[i].id > out[i - 1].id) continue;
+    const TraceSpan span = out[i];
+    size_t at = i;
+    for (; at > 0 && out[at - 1].id > span.id; --at) out[at] = out[at - 1];
+    out[at] = span;
+  }
   return out;
 }
 

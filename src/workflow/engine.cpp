@@ -263,6 +263,7 @@ void WorkflowServer::accumulate_sim_stats(const SimStats& wave) {
   sim_stats_.mutex_waits += wave.mutex_waits;
   sim_stats_.cancellations += wave.cancellations;
   sim_stats_.ready_rebuilds += wave.ready_rebuilds;
+  sim_stats_.park_depths.merge(wave.park_depths);
   sim_stats_.peak_blocked = std::max(sim_stats_.peak_blocked,
                                      wave.peak_blocked);
   sim_stats_.stacks = std::max(sim_stats_.stacks, wave.stacks);

@@ -115,8 +115,8 @@ class WorkflowServer {
   /// Aggregate simulate-mode accounting for the most recent run():
   /// event counters (switches, notifies, timeouts, ...) sum across the
   /// waves the run enacted; high-water marks (peak_blocked, stacks,
-  /// arena_bytes, peak_rss_bytes) take the per-wave max. All zeros
-  /// under ExecMode::kPooled.
+  /// arena_bytes, peak_rss_bytes) take the per-wave max; the park-depth
+  /// histograms merge. All zeros under ExecMode::kPooled.
   const SimStats& last_sim_stats() const { return sim_stats_; }
 
   /// Human-readable per-application traffic summary of the whole run

@@ -27,6 +27,7 @@
 
 #include "common/error.hpp"
 #include "common/sync.hpp"
+#include "runtime/park_slab.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/sim.hpp"
 #include "support/seed_report.hpp"
@@ -479,7 +480,8 @@ u64 stamp(i32 fiber, i32 level, std::size_t word) {
 TEST(SimEngine, ParkedStacksSurviveInterleaving) {
   // 64 fibers recurse to depths from 1 to 40 KiB, so parked copies span
   // several pages and differ in length. Every fiber parks first at its
-  // shallowest frame and later deeper, so its saved copy has to grow.
+  // shallowest frame and later deeper, so its copies change size class,
+  // and the deepest ones take chunks of their own.
   constexpr i32 kFibers = 64;
   const auto levels_of = [](i32 fiber) { return 2 + fiber * 78 / 63; };
   Yielder yielder;
@@ -504,9 +506,78 @@ TEST(SimEngine, ParkedStacksSurviveInterleaving) {
   const SimStats& stats = sim.stats();
   EXPECT_EQ(stats.cancellations, 0u);
   EXPECT_EQ(stats.stacks, kFibers);
-  // Each fiber's copy grew at least as deep as its recursion went.
-  EXPECT_GE(stats.arena_bytes,
-            static_cast<u64>(SimEngine::kDefaultStackBytes) + total_depth);
+  // Copies are freed on resume, so arena_bytes holds only what was parked
+  // at once; the park histogram counts every copy. The deepest park is at
+  // least as deep as the deepest recursion, and every fiber copied out at
+  // least its own depth.
+  const auto deepest = *std::max_element(depth.begin(), depth.end());
+  EXPECT_GE(stats.park_depths.max_bytes, static_cast<u64>(deepest));
+  EXPECT_GE(stats.park_depths.total_bytes, static_cast<u64>(total_depth));
+}
+
+/// All `n` fibers meet here; each round parks every fiber but the last.
+struct Rounds {
+  Mutex mu{"test.sim_rounds"};
+  CondVar cv;
+  i32 n = 0;
+  i32 arrived = 0;
+  i32 round = 0;
+
+  void meet() {
+    MutexLock lock(mu);
+    const i32 mine = round;
+    if (++arrived == n) {
+      arrived = 0;
+      ++round;
+      cv.notify_all();
+      return;
+    }
+    while (round == mine) cv.wait(lock);
+  }
+};
+
+/// Meets `rounds` below a 1 KiB frame, so the park is that much deeper.
+[[gnu::noinline]] u64 meet_deeper(Rounds& rounds, i32 fiber) {
+  volatile u64 cells[128];
+  for (std::size_t w = 0; w < 128; ++w) cells[w] = stamp(fiber, 1, w);
+  rounds.meet();
+  u64 bad = 0;
+  for (std::size_t w = 0; w < 128; ++w) {
+    bad += cells[w] != stamp(fiber, 1, w) ? 1 : 0;
+  }
+  return bad;
+}
+
+TEST(SimEngine, ResumedFibersGiveTheirSlotsBack) {
+  // Every fiber parks shallow, then, resumed in turn, parks 1 KiB deeper:
+  // the two parks of a weak-scaling rank. A resume frees the fiber's
+  // copy, so the park slab peaks near one deep copy per fiber, not at a
+  // shallow and a deep copy per fiber.
+  constexpr i32 kFibers = 4096;
+  Rounds rounds;
+  rounds.n = kFibers;
+  u64 bad = 0;
+  SimEngine sim;
+  sim.run(kFibers, [&](i32 task) {
+    rounds.meet();
+    bad += meet_deeper(rounds, task);
+  });
+  EXPECT_EQ(bad, 0u);
+  const SimStats& stats = sim.stats();
+  const ParkDepths& parks = stats.park_depths;
+  EXPECT_EQ(parks.parks(), 2u * (kFibers - 1));
+  const u64 shallow = parks.percentile(0.25);
+  const u64 deep = parks.max_bytes;
+  ASSERT_GE(deep, shallow + 1024);
+  // Chunk headers and tails too short for another slot take up to a
+  // tenth; keeping both copies would add the shallow depth on top.
+  const u64 bound = kFibers * deep * 11 / 10 + 2 * ParkSlab::kMaxChunkBytes;
+  ASSERT_LT(bound, kFibers * (shallow + deep))
+      << "shallow " << shallow << " B, deep " << deep << " B";
+  const u64 slab =
+      stats.arena_bytes - static_cast<u64>(SimEngine::kDefaultStackBytes);
+  EXPECT_LE(slab, bound) << "shallow " << shallow << " B, deep " << deep
+                         << " B";
 }
 
 /// Recurses until a frame lies below `floor`. Each level writes its own

@@ -239,6 +239,40 @@ TEST(TraceUnit, TinyRingNeverDropsSpans) {
   }
 }
 
+TEST(TraceUnit, SnapshotOrdersInterleavedDrainsAndNestedSpans) {
+  // Tracks drain in an order unrelated to their ids (a two-span ring
+  // drains track 9 while tracks 2 and 5 still hold theirs), and a span
+  // is emitted when it ends, after the spans nested in it: every
+  // snapshot still lists each span once, in id order.
+  TraceRecorder rec(/*ring_capacity=*/2);
+  TraceContext high(rec, 9, 0.0, 0, 1, 0, 0);
+  TraceContext low(rec, 2, 0.0, 0, 1, 1, 0);
+  TraceContext mid(rec, 5, 0.0, 0, 1, 2, 0);
+  std::vector<u64> ids;
+  size_t emitted = 0;
+  for (int round = 0; round < 6; ++round) {
+    mid.begin(SpanCategory::kGet);
+    mid.begin(SpanCategory::kPull);
+    for (TraceContext* ctx : {&high, &mid, &low, &high, &high}) {
+      ctx->leaf(SpanCategory::kTransferShm, 0.001, emitted++,
+                TrafficClass::kIntraApp, 1, true);
+    }
+    mid.end();
+    mid.end();
+    emitted += 2;
+    if (round % 2 == 0) continue;  // snapshot every other round
+    const auto spans = rec.snapshot();
+    ASSERT_EQ(spans.size(), emitted);
+    ids.clear();
+    for (const TraceSpan& span : spans) ids.push_back(span.id);
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end())) << "round " << round;
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+  }
+  EXPECT_EQ(ids.front(), id_of(2, 1));
+  EXPECT_EQ(ids.back(), id_of(9, 18));
+  EXPECT_EQ(ids[6], id_of(5, 1));  // the first round's outer kGet span
+}
+
 TEST(TraceUnit, ResumedTrackKeepsSequenceAndClockResets) {
   TraceRecorder rec;
   u64 first;
