@@ -2,8 +2,8 @@
 // Hilbert encode/decode, box->span decomposition, M x N redistribution
 // volume computation, batch pricing in the cost model, multilevel
 // partitioning of grids and of the paper's coupling bundles, whole
-// modelled scenarios, live CoDS put/get, DHT owner lookups and the
-// Chrome trace export.
+// modelled scenarios, live CoDS put/get, DHT owner lookups, and the
+// Chrome trace export, trace analysis and wfgen oracles.
 #include <benchmark/benchmark.h>
 
 #include "core/cods.hpp"
@@ -12,9 +12,11 @@
 #include "partition/partitioner.hpp"
 #include "platform/cost_model.hpp"
 #include "sfc/curve.hpp"
+#include "trace/critical_path.hpp"
 #include "trace/export.hpp"
 #include "paper_config.hpp"
 #include "wfgen/enact.hpp"
+#include "wfgen/oracle.hpp"
 #include "wfgen/wfgen.hpp"
 #include "workflow/mapping.hpp"
 #include "workflow/scenario.hpp"
@@ -226,29 +228,78 @@ void BM_CodsPutGetRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_CodsPutGetRoundTrip)->Unit(benchmark::kMicrosecond);
 
-// to_chrome_trace over the span streams of wfgen seeds 1-20 enacted
-// under kSimulate, as the wfgen_faults perfbench workload exports them.
+/// wfgen seeds 1-20 enacted under kSimulate, as the wfgen_faults
+/// perfbench workload enacts them; built once, shared by the trace
+/// benches below.
+struct EnactedScenario {
+  wfgen::ScenarioSpec spec;
+  wfgen::EnactResult run;
+};
+
+const std::vector<EnactedScenario>& wfgen_runs() {
+  static const std::vector<EnactedScenario> runs = [] {
+    std::vector<EnactedScenario> out;
+    for (u64 seed = 1; seed <= 20; ++seed) {
+      wfgen::ScenarioSpec spec = wfgen::generate(seed);
+      wfgen::EnactResult run =
+          wfgen::enact(spec, {.mode = ExecMode::kSimulate});
+      out.push_back({std::move(spec), std::move(run)});
+    }
+    return out;
+  }();
+  return runs;
+}
+
+// to_chrome_trace over the span streams of wfgen seeds 1-20.
 void BM_ChromeExport(benchmark::State& state) {
-  std::vector<std::vector<TraceSpan>> streams;
-  for (u64 seed = 1; seed <= 20; ++seed) {
-    streams.push_back(
-        wfgen::enact(wfgen::generate(seed), {.mode = ExecMode::kSimulate})
-            .spans);
-  }
+  const auto& runs = wfgen_runs();
   i64 bytes = 0;
   i64 spans = 0;
   for (auto _ : state) {
-    for (const auto& stream : streams) {
-      std::string json = to_chrome_trace(stream);
+    for (const EnactedScenario& s : runs) {
+      std::string json = to_chrome_trace(s.run.spans);
       benchmark::DoNotOptimize(json);
       bytes += static_cast<i64>(json.size());
-      spans += static_cast<i64>(stream.size());
+      spans += static_cast<i64>(s.run.spans.size());
     }
   }
   state.SetBytesProcessed(bytes);
   state.SetItemsProcessed(spans);
 }
 BENCHMARK(BM_ChromeExport)->Unit(benchmark::kMillisecond);
+
+// analyze_trace over the same span streams.
+void BM_AnalyzeTrace(benchmark::State& state) {
+  const auto& runs = wfgen_runs();
+  i64 spans = 0;
+  for (auto _ : state) {
+    for (const EnactedScenario& s : runs) {
+      TraceAnalysis analysis = analyze_trace(s.run.spans);
+      benchmark::DoNotOptimize(analysis);
+      spans += static_cast<i64>(s.run.spans.size());
+    }
+  }
+  state.SetItemsProcessed(spans);
+}
+BENCHMARK(BM_AnalyzeTrace)->Unit(benchmark::kMillisecond);
+
+// The full wfgen oracle suite over the same enacted scenarios.
+void BM_CheckOracles(benchmark::State& state) {
+  const auto& runs = wfgen_runs();
+  i64 spans = 0;
+  for (auto _ : state) {
+    for (const EnactedScenario& s : runs) {
+      wfgen::OracleReport report = wfgen::check_oracles(s.spec, s.run);
+      if (!report.ok()) {
+        state.SkipWithError(report.to_string().c_str());
+        return;
+      }
+      spans += static_cast<i64>(s.run.spans.size());
+    }
+  }
+  state.SetItemsProcessed(spans);
+}
+BENCHMARK(BM_CheckOracles)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/flat_table.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/trace.hpp"
 
@@ -60,20 +61,7 @@ void check_byte_conservation(const EnactResult& run, OracleReport& report) {
       report.violations.push_back("ledger != journal: " + diff);
     }
   } else {
-    using Entry = std::tuple<i32, int, bool, u64, double>;
-    std::map<Entry, i64> pending;
-    for (const TransferRecord& r : run.journal) {
-      ++pending[{r.app_id, static_cast<int>(r.cls), r.via_network, r.bytes,
-                 r.model_time}];
-    }
-    i64 unmatched = 0;
-    for (const TraceSpan& s : run.spans) {
-      if ((s.flags & TraceFlags::kLedger) == 0) continue;
-      const Entry key{s.app_id, static_cast<int>(s.cls),
-                      s.cat == SpanCategory::kTransferNet, s.bytes,
-                      s.duration};
-      if (--pending[key] < 0) ++unmatched;
-    }
+    const u64 unmatched = unjournaled_ledger_spans(run.spans, run.journal);
     if (unmatched != 0) {
       report.violations.push_back(
           "ledger != journal: " + std::to_string(unmatched) +
@@ -196,42 +184,57 @@ void check_schedule(const ScenarioSpec& spec, const EnactResult& run,
   }
 }
 
-/// Virtual-clock sanity: spans well-formed, track-monotone, and nested
-/// within their parents.
+/// Virtual-clock sanity: spans well-formed, sequential spans
+/// track-monotone, and no child beginning before its parent.
 void check_clock(const EnactResult& run, OracleReport& report) {
-  std::map<u64, const TraceSpan*> by_id;
-  for (const TraceSpan& span : run.spans) by_id[span.id] = &span;
-  // spans arrive sorted by id == (track << kSeqBits) | seq, so a simple
-  // scan visits each track's spans in emission order.
-  std::map<u64, double> track_begin;
+  const auto well_formed = [](const TraceSpan& span) {
+    return !(span.begin < 0.0 || span.duration < 0.0) &&
+           !((span.flags & TraceFlags::kInstant) != 0 && span.duration != 0.0);
+  };
+  // Per track, in stream order, a sequential span may not begin before
+  // the track's previous sequential span. A snapshot is in id order ==
+  // (track << kSeqBits) | seq, so a track's spans are consecutive and the
+  // table is consulted once per track.
+  struct TrackHash {
+    u64 operator()(u64 track) const { return mix64(track); }
+  };
+  FlatTable<u64, double, TrackHash> track_begin;
+  u64 track = 0;
+  double* last_begin = nullptr;  ///< track_begin's entry for `track`
   size_t clock_violations = 0;
-  size_t nesting_violations = 0;
   for (const TraceSpan& span : run.spans) {
-    if (span.begin < 0.0 || span.duration < 0.0) {
+    if (!well_formed(span)) {
       ++clock_violations;
       continue;
     }
-    if ((span.flags & TraceFlags::kInstant) != 0 && span.duration != 0.0) {
-      ++clock_violations;
+    if ((span.flags & TraceFlags::kSequential) == 0) continue;
+    const u64 span_track = span.id >> TraceRecorder::kSeqBits;
+    if (last_begin == nullptr || span_track != track) {
+      track = span_track;
+      const auto [entry, inserted] = track_begin.insert(track, span.begin);
+      last_begin = entry;
+      if (inserted) continue;
+    }
+    if (span.begin < *last_begin) ++clock_violations;
+    *last_begin = span.begin;
+  }
+
+  // Parents on a foreign track can legitimately close before a child
+  // recorded against them is drained; only flag a child that starts
+  // before its parent did — time running backwards across the edge. Of
+  // spans sharing the parent's id, the last in stream order is compared.
+  const SpanIndex idx(run.spans);
+  size_t nesting_violations = 0;
+  for (size_t i = 0; i < idx.size(); ++i) {
+    const TraceSpan& span = idx[i];
+    u32 parent = idx.parent(i);
+    if (span.parent == 0 || parent == SpanIndex::kNone || !well_formed(span)) {
       continue;
     }
-    const u64 track = span.id >> TraceRecorder::kSeqBits;
-    const auto it = track_begin.find(track);
-    if ((span.flags & TraceFlags::kSequential) != 0) {
-      if (it != track_begin.end() && span.begin < it->second) {
-        ++clock_violations;
-      }
-      track_begin[track] = span.begin;
+    while (parent + 1 < idx.size() && idx[parent + 1].id == span.parent) {
+      ++parent;
     }
-    if (span.parent != 0) {
-      const auto parent = by_id.find(span.parent);
-      // Parents on a foreign track can legitimately close before a child
-      // recorded against them is drained; only flag a child that starts
-      // before its parent did — time running backwards across the edge.
-      if (parent != by_id.end() && span.begin < parent->second->begin) {
-        ++nesting_violations;
-      }
-    }
+    if (span.begin < idx[parent].begin) ++nesting_violations;
   }
   if (clock_violations != 0) {
     report.violations.push_back(

@@ -638,7 +638,19 @@ TEST(CriticalPath, ReconciliationMatchesAndDiagnoses) {
   const std::string diag = reconcile_with_transfer_log(spans, {rec});
   EXPECT_NE(diag.find("does not reconcile"), std::string::npos);
   EXPECT_NE(diag.find("divergence"), std::string::npos);
-  EXPECT_NE(reconcile_with_transfer_log(spans, {}), "");
+
+  // One multiset a prefix of the other: the first entry past the common
+  // prefix is named, from whichever side has it.
+  rec.bytes = 4096;
+  EXPECT_EQ(reconcile_with_transfer_log(spans, {}),
+            "trace ledger does not reconcile with the transfer log: 1 "
+            "ledger span(s) vs 0 journal record(s); first divergence at #0: "
+            "span(app=3,cls=0,net=1,bytes=4096,t=0.25) has no journal "
+            "record");
+  EXPECT_EQ(reconcile_with_transfer_log(spans, {rec, rec}),
+            "trace ledger does not reconcile with the transfer log: 1 "
+            "ledger span(s) vs 2 journal record(s); first divergence at #1: "
+            "log(app=3,cls=0,net=1,bytes=4096,t=0.25) has no ledger span");
 }
 
 TEST(CriticalPath, EmptyStreamAnalyzesToZero) {
