@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <mutex>  // the registry's own internal lock
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace cods::lock_order {
@@ -29,17 +32,33 @@ void default_cycle_handler(const std::string& description) {
 
 std::atomic<CycleHandler> g_handler{&default_cycle_handler};
 
+/// Dense id of an interned lock class.
+using ClassId = std::uint32_t;
+
 // The registry's own mutex is a leaf: nothing is called back under it
 // (the cycle handler runs after it is released), so it can never take
 // part in an application-level cycle.
 struct Registry {
   // codslint-allow(blocking): a cods::Mutex would report into itself
   std::mutex mutex;
-  std::vector<std::string> names;                 // id -> name
-  std::map<LockId, std::set<LockId>> successors;  // edge a -> b: a held
-                                                  // when b was acquired
+  std::vector<const char*> names;  // class id -> class name
+  // By content: one literal may have several addresses across
+  // translation units.
+  std::map<std::string_view, ClassId> ids;
+  std::vector<std::set<ClassId>> successors;  // edge a -> b: a held when b
+                                              // was acquired
   std::size_t edge_count = 0;
   std::size_t cycles = 0;
+
+  ClassId intern(const char* name) {
+    const auto [it, inserted] =
+        ids.try_emplace(name, static_cast<ClassId>(names.size()));
+    if (inserted) {
+      names.push_back(name);
+      successors.emplace_back();
+    }
+    return it->second;
+  }
 };
 
 Registry& registry() {
@@ -47,29 +66,28 @@ Registry& registry() {
   return *r;
 }
 
-// Locks currently held by this thread, in acquisition order.
-thread_local std::vector<LockId> t_held;
+// Classes of the locks this thread holds, in acquisition order. Held
+// classes are interned lazily by the next blocking acquisition, so
+// try-lock and release never take the registry lock.
+thread_local std::vector<const char*> t_held;
 
 /// Depth-first search for a path from `from` to `to` in the successor
 /// graph. Fills `path` (from ... to) when found.
-bool find_path(const Registry& reg, LockId from, LockId to,
-               std::set<LockId>& visited, std::vector<LockId>& path) {
+bool find_path(const Registry& reg, ClassId from, ClassId to,
+               std::set<ClassId>& visited, std::vector<ClassId>& path) {
   if (!visited.insert(from).second) return false;
   path.push_back(from);
   if (from == to) return true;
-  const auto it = reg.successors.find(from);
-  if (it != reg.successors.end()) {
-    for (LockId next : it->second) {
-      if (find_path(reg, next, to, visited, path)) return true;
-    }
+  for (ClassId next : reg.successors[from]) {
+    if (find_path(reg, next, to, visited, path)) return true;
   }
   path.pop_back();
   return false;
 }
 
-std::string describe_cycle(const Registry& reg, LockId held, LockId acquiring,
-                           const std::vector<LockId>& reverse_path,
-                           const std::vector<LockId>& stack) {
+std::string describe_cycle(const Registry& reg, ClassId held,
+                           ClassId acquiring,
+                           const std::vector<ClassId>& reverse_path) {
   std::ostringstream os;
   os << "lock-order cycle: acquiring '" << reg.names[acquiring]
      << "' while holding '" << reg.names[held]
@@ -79,43 +97,39 @@ std::string describe_cycle(const Registry& reg, LockId held, LockId acquiring,
     os << "'" << reg.names[reverse_path[i]] << "'";
   }
   os << ". This thread's held locks:";
-  for (LockId id : stack) os << " '" << reg.names[id] << "'";
+  for (const char* name : t_held) os << " '" << name << "'";
   return os.str();
 }
 
 }  // namespace
 
-LockId register_lock(const char* name) {
-  Registry& reg = registry();
-  // codslint-allow(blocking): the registry's leaf lock (see Registry)
-  std::scoped_lock lock(reg.mutex);
-  reg.names.emplace_back(name == nullptr ? "unnamed" : name);
-  return static_cast<LockId>(reg.names.size() - 1);
-}
-
-void on_acquire(LockId id) {
+void on_acquire(const char* lock_class) {
   if (!g_enabled.load(std::memory_order_relaxed)) return;
   std::string cycle;
   {
     Registry& reg = registry();
     // codslint-allow(blocking): the registry's leaf lock (see Registry)
     std::scoped_lock lock(reg.mutex);
-    for (LockId held : t_held) {
+    const ClassId id = reg.intern(lock_class);
+    for (const char* held_class : t_held) {
+      const ClassId held = reg.intern(held_class);
       if (held == id) {
-        // Recursive acquisition of a non-recursive lock: a self-deadlock.
+        // A second lock of a class this thread holds: either the same
+        // non-recursive lock (a self-deadlock) or two instances nested in
+        // an order the class graph cannot check.
         ++reg.cycles;
-        cycle = describe_cycle(reg, held, id, {id}, t_held);
+        cycle = describe_cycle(reg, held, id, {id});
         break;
       }
       auto& succ = reg.successors[held];
       if (succ.contains(id)) continue;  // edge already validated
       // New edge held -> id: a pre-existing path id ->* held closes a
       // cycle. Check before inserting so the path excludes the new edge.
-      std::set<LockId> visited;
-      std::vector<LockId> path;
+      std::set<ClassId> visited;
+      std::vector<ClassId> path;
       if (find_path(reg, id, held, visited, path)) {
         ++reg.cycles;
-        cycle = describe_cycle(reg, held, id, path, t_held);
+        cycle = describe_cycle(reg, held, id, path);
         break;
       }
       succ.insert(id);
@@ -127,18 +141,22 @@ void on_acquire(LockId id) {
     g_handler.load()(cycle);
     return;  // a non-aborting handler continues; the edge is not recorded
   }
-  t_held.push_back(id);
+  t_held.push_back(lock_class);
 }
 
-void on_try_acquire(LockId id) {
+void on_try_acquire(const char* lock_class) {
   if (!g_enabled.load(std::memory_order_relaxed)) return;
-  t_held.push_back(id);
+  t_held.push_back(lock_class);
 }
 
-void on_release(LockId id) {
+void on_release(const char* lock_class) {
   if (!g_enabled.load(std::memory_order_relaxed)) return;
-  // Remove the most recent hold; out-of-order release is permitted.
-  const auto it = std::find(t_held.rbegin(), t_held.rend(), id);
+  // Remove the most recent hold of the class; out-of-order release is
+  // permitted.
+  const auto it = std::find_if(
+      t_held.rbegin(), t_held.rend(), [lock_class](const char* held) {
+        return std::strcmp(held, lock_class) == 0;
+      });
   if (it != t_held.rend()) t_held.erase(std::next(it).base());
 }
 
@@ -153,12 +171,12 @@ CycleHandler set_cycle_handler(CycleHandler handler) {
 
 std::string dump_hierarchy() {
   Registry& reg = registry();
-  std::set<std::pair<std::string, std::string>> lines;
+  std::set<std::pair<std::string_view, std::string_view>> lines;
   {
     // codslint-allow(blocking): the registry's leaf lock (see Registry)
     std::scoped_lock lock(reg.mutex);
-    for (const auto& [from, succ] : reg.successors) {
-      for (LockId to : succ) {
+    for (ClassId from = 0; from < reg.successors.size(); ++from) {
+      for (ClassId to : reg.successors[from]) {
         lines.insert({reg.names[from], reg.names[to]});
       }
     }
@@ -175,6 +193,13 @@ std::size_t edge_count() {
   return reg.edge_count;
 }
 
+std::size_t class_count() {
+  Registry& reg = registry();
+  // codslint-allow(blocking): the registry's leaf lock (see Registry)
+  std::scoped_lock lock(reg.mutex);
+  return reg.names.size();
+}
+
 std::size_t cycles_reported() {
   Registry& reg = registry();
   // codslint-allow(blocking): the registry's leaf lock (see Registry)
@@ -186,7 +211,7 @@ void reset_edges_for_testing() {
   Registry& reg = registry();
   // codslint-allow(blocking): the registry's leaf lock (see Registry)
   std::scoped_lock lock(reg.mutex);
-  reg.successors.clear();
+  for (auto& succ : reg.successors) succ.clear();
   reg.edge_count = 0;
   reg.cycles = 0;
 }

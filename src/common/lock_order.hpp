@@ -1,10 +1,16 @@
-// Process-wide lock-order registry (docs/CONCURRENCY.md). Every
-// cods::Mutex / cods::SharedMutex registers itself here and reports its
-// blocking acquisitions; the registry records each (held lock -> acquired
-// lock) edge into a wait-for graph and flags the first edge that closes a
-// cycle — turning a potential deadlock into a deterministic failure that
-// names every lock on the cycle. The accumulated graph doubles as
-// documentation: dump_hierarchy() renders the observed lock ordering.
+// Process-wide lock-order registry (docs/CONCURRENCY.md), keyed on lock
+// classes as Linux lockdep is. A lock's class is the name it is built with
+// ("subsystem.role"): every cods::Mutex / cods::SharedMutex stores that
+// static-storage string and does nothing else at construction, so building
+// a lock never touches this registry. Blocking acquisitions report here by
+// class; the registry interns each class into a dense id, records each
+// (held class -> acquired class) edge into a wait-for graph and flags the
+// first edge that closes a cycle — turning a potential deadlock into a
+// deterministic failure that names every class on the cycle. Two locks of
+// one class held at once are reported as a recursive acquisition. The
+// registry grows with the number of classes in the code, not with the
+// number of locks a run builds. The accumulated graph doubles as
+// documentation: dump_hierarchy() renders the observed class ordering.
 //
 // Tracking is enabled by default in debug builds (NDEBUG undefined) and
 // disabled in release builds, where each hook is a single relaxed atomic
@@ -12,31 +18,25 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace cods::lock_order {
 
-using LockId = std::uint32_t;
+/// Blocking acquisition of a lock of class `lock_class` about to start:
+/// records a (held -> lock_class) edge for every lock the calling thread
+/// already holds, runs cycle detection, and marks the class held. Call
+/// *before* blocking on the underlying mutex so an inversion is reported
+/// instead of deadlocking. `lock_class` must have static storage; classes
+/// are compared by content.
+void on_acquire(const char* lock_class);
 
-/// Registers a lock instance under `name` (copied). Names are labels for
-/// reporting, not identities: edges are tracked per instance, so two locks
-/// sharing a name never alias in the graph.
-LockId register_lock(const char* name);
+/// Successful non-blocking acquisition: marks `lock_class` held without
+/// recording ordering edges (try-lock cannot deadlock; out-of-order
+/// try-lock is a legitimate deadlock-avoidance pattern).
+void on_try_acquire(const char* lock_class);
 
-/// Blocking acquisition about to start: records a (held -> id) edge for
-/// every lock the calling thread already holds, runs cycle detection, and
-/// marks `id` held. Call *before* blocking on the underlying mutex so an
-/// inversion is reported instead of deadlocking.
-void on_acquire(LockId id);
-
-/// Successful non-blocking acquisition: marks `id` held without recording
-/// ordering edges (try-lock cannot deadlock; out-of-order try-lock is a
-/// legitimate deadlock-avoidance pattern).
-void on_try_acquire(LockId id);
-
-/// Release: unmarks the most recent hold of `id` by this thread.
-void on_release(LockId id);
+/// Release: unmarks the most recent hold of `lock_class` by this thread.
+void on_release(const char* lock_class);
 
 bool enabled();
 void set_enabled(bool on);
@@ -48,18 +48,23 @@ void set_enabled(bool on);
 using CycleHandler = void (*)(const std::string& description);
 CycleHandler set_cycle_handler(CycleHandler handler);
 
-/// Sorted, deduplicated "A -> B" lines (by lock name) of every ordering
+/// Sorted, deduplicated "A -> B" lines (by class name) of every ordering
 /// edge observed so far. Deterministic for a given set of edges.
 std::string dump_hierarchy();
 
-/// Number of distinct (instance -> instance) edges observed.
+/// Number of distinct (class -> class) edges observed.
 std::size_t edge_count();
+
+/// Number of lock classes interned so far: the classes acquired, or held
+/// by the acquiring thread, at a blocking acquisition while tracking was
+/// on. Building a lock interns nothing.
+std::size_t class_count();
 
 /// Number of cycles reported since process start (or the last reset).
 std::size_t cycles_reported();
 
-/// Clears observed edges and the cycle count; registrations (and ids)
-/// survive. Test isolation only — never call while other threads lock.
+/// Clears observed edges and the cycle count; interned classes survive.
+/// Test isolation only — never call while other threads lock.
 void reset_edges_for_testing();
 
 }  // namespace cods::lock_order

@@ -14,12 +14,14 @@
 //   * Annotated wrappers Mutex / SharedMutex and RAII guards MutexLock /
 //     ReaderLock / WriterLock, plus a CondVar that works with MutexLock.
 //     In debug builds each blocking acquisition additionally feeds the
-//     process-wide lock-order registry (common/lock_order.hpp), which
-//     aborts with the lock names on the first ordering cycle and can dump
-//     the observed lock hierarchy as documentation.
+//     process-wide lock-order registry (common/lock_order.hpp) with the
+//     lock's class (its name); the registry aborts with the class names on
+//     the first ordering cycle and can dump the observed class hierarchy
+//     as documentation. Building a lock touches no global state.
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <condition_variable>  // wrapped by CondVar
 #include <mutex>               // wrapped by Mutex
 #include <shared_mutex>        // wrapped by SharedMutex
@@ -62,13 +64,16 @@ namespace cods {
 class CondVar;
 class MutexLock;
 
-/// Annotated exclusive mutex. `name` labels the lock in the lock-order
-/// registry's reports and hierarchy dump; give every distinct mutex role a
-/// distinct "subsystem.role" name.
+/// Annotated exclusive mutex. Its name is its lock class: the lock-order
+/// registry checks ordering between classes, not instances, and reports
+/// two locks of one class held at once. Give every distinct mutex role a
+/// distinct "subsystem.role" name. The name must be a string literal (or
+/// another character array of static storage); the constructor stores the
+/// pointer and does nothing else.
 class CODS_CAPABILITY("mutex") Mutex {
  public:
-  explicit Mutex(const char* name = "unnamed")
-      : order_id_(lock_order::register_lock(name)) {}
+  template <std::size_t N>
+  explicit Mutex(const char (&lock_class)[N]) : class_(lock_class) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
@@ -83,19 +88,19 @@ class CODS_CAPABILITY("mutex") Mutex {
       sim->lock(*this);
       return;
     }
-    lock_order::on_acquire(order_id_);
+    lock_order::on_acquire(class_);
     impl_.lock();
   }
   void unlock() CODS_RELEASE() {
     impl_.unlock();
-    lock_order::on_release(order_id_);
+    lock_order::on_release(class_);
     if (blocking::SimHook* sim = blocking::sim_hook(); sim != nullptr) {
       sim->unlock(*this);
     }
   }
   bool try_lock() CODS_TRY_ACQUIRE(true) {
     if (!impl_.try_lock()) return false;
-    lock_order::on_try_acquire(order_id_);
+    lock_order::on_try_acquire(class_);
     return true;
   }
 
@@ -104,39 +109,39 @@ class CODS_CAPABILITY("mutex") Mutex {
   friend class MutexLock;
 
   std::mutex impl_;
-  lock_order::LockId order_id_;
+  const char* class_;  ///< lock class: a static-storage name
 };
 
-/// Annotated reader/writer mutex.
+/// Annotated reader/writer mutex; named by its lock class, like Mutex.
 class CODS_CAPABILITY("shared_mutex") SharedMutex {
  public:
-  explicit SharedMutex(const char* name = "unnamed")
-      : order_id_(lock_order::register_lock(name)) {}
+  template <std::size_t N>
+  explicit SharedMutex(const char (&lock_class)[N]) : class_(lock_class) {}
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void lock() CODS_ACQUIRE() {
-    lock_order::on_acquire(order_id_);
+    lock_order::on_acquire(class_);
     impl_.lock();
   }
   void unlock() CODS_RELEASE() {
     impl_.unlock();
-    lock_order::on_release(order_id_);
+    lock_order::on_release(class_);
   }
   // Shared acquisitions take ordering edges too: a reader blocked behind a
   // queued writer deadlocks a cycle just like an exclusive holder.
   void lock_shared() CODS_ACQUIRE_SHARED() {
-    lock_order::on_acquire(order_id_);
+    lock_order::on_acquire(class_);
     impl_.lock_shared();
   }
   void unlock_shared() CODS_RELEASE_SHARED() {
     impl_.unlock_shared();
-    lock_order::on_release(order_id_);
+    lock_order::on_release(class_);
   }
 
  private:
   std::shared_mutex impl_;
-  lock_order::LockId order_id_;
+  const char* class_;  ///< lock class: a static-storage name
 };
 
 /// RAII exclusive guard over a Mutex. Supports early release (unlock())

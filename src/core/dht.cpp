@@ -18,8 +18,7 @@ CodsDht::CodsDht(const Cluster& cluster, SfcCurve curve, int granularity_log2)
                "DHT granularity out of range");
   const u64 n = static_cast<u64>(cluster.num_nodes());
   indices_per_node_ = (curve_.size() + n - 1) / n;
-  tables_.reserve(n);
-  for (u64 i = 0; i < n; ++i) tables_.push_back(std::make_unique<NodeTable>());
+  tables_ = std::make_unique<NodeTable[]>(n);
 }
 
 i32 CodsDht::owner_node(u64 index) const {
@@ -149,7 +148,7 @@ i32 CodsDht::insert(const std::string& var, i32 version,
                     const DataLocation& loc, std::span<const i32> owners) {
   CODS_REQUIRE(loc.box.valid(), "cannot insert an empty region");
   for (i32 node : owners) {
-    NodeTable& table = *tables_[static_cast<size_t>(node)];
+    NodeTable& table = tables()[static_cast<size_t>(node)];
     MutexLock lock(table.mutex);
     auto& records = table.records[{var, version}];
     // Re-registration of the same region (recovery re-execution) replaces
@@ -170,7 +169,7 @@ LookupResult CodsDht::query(const std::string& var, i32 version,
   // several intervals is registered with each).
   std::set<std::pair<i32, u64>> seen;  // (owner_client, window_key)
   for (i32 node : result.dht_nodes) {
-    const NodeTable& table = *tables_[static_cast<size_t>(node)];
+    const NodeTable& table = tables()[static_cast<size_t>(node)];
     MutexLock lock(table.mutex);
     const auto it = table.records.find({var, version});
     if (it == table.records.end()) continue;
@@ -195,21 +194,21 @@ LookupResult CodsDht::query(const std::string& var, i32 version,
 
 i64 CodsDht::retire(const std::string& var, i32 version) {
   i64 removed = 0;
-  for (auto& table : tables_) {
-    MutexLock lock(table->mutex);
-    const auto it = table->records.find({var, version});
-    if (it == table->records.end()) continue;
+  for (NodeTable& table : tables()) {
+    MutexLock lock(table.mutex);
+    const auto it = table.records.find({var, version});
+    if (it == table.records.end()) continue;
     removed += static_cast<i64>(it->second.size());
-    table->records.erase(it);
+    table.records.erase(it);
   }
   return removed;
 }
 
 i64 CodsDht::drop_node_locations(i32 node) {
   i64 removed = 0;
-  for (auto& table : tables_) {
-    MutexLock lock(table->mutex);
-    for (auto& [key, records] : table->records) {
+  for (NodeTable& table : tables()) {
+    MutexLock lock(table.mutex);
+    for (auto& [key, records] : table.records) {
       removed += static_cast<i64>(std::erase_if(
           records,
           [&](const DataLocation& r) { return r.owner_loc.node == node; }));
@@ -220,7 +219,7 @@ i64 CodsDht::drop_node_locations(i32 node) {
 
 i64 CodsDht::node_record_count(i32 node) const {
   CODS_REQUIRE(node >= 0 && node < num_dht_cores(), "node out of range");
-  const NodeTable& table = *tables_[static_cast<size_t>(node)];
+  const NodeTable& table = tables()[static_cast<size_t>(node)];
   MutexLock lock(table.mutex);
   i64 count = 0;
   for (const auto& [key, records] : table.records) {

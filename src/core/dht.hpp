@@ -88,11 +88,16 @@ class CodsDht {
         CODS_GUARDED_BY(mutex);
   };
 
+  /// The location tables, one per DHT core (node).
+  std::span<NodeTable> tables() const {
+    return {tables_.get(), static_cast<size_t>(num_dht_cores())};
+  }
+
   const Cluster* cluster_;
   SfcCurve curve_;
   int granularity_log2_;
   u64 indices_per_node_;
-  std::vector<std::unique_ptr<NodeTable>> tables_;
+  std::unique_ptr<NodeTable[]> tables_;  ///< one allocation for all nodes
 };
 
 }  // namespace cods

@@ -45,10 +45,6 @@ double CostModel::flow_time(const Flow& flow) const {
   return params_.net_latency + hops * params_.hop_latency + bytes / wire_bw;
 }
 
-double CostModel::batch_time(const std::vector<Flow>& flows) const {
-  return batch_time_with_background(flows, {});
-}
-
 namespace {
 
 /// Per-resource load sums of one batch, indexed by dense resource id (link
@@ -237,17 +233,13 @@ double price_batch(const Cluster& cluster, const CostParams& params,
 
 }  // namespace
 
-double CostModel::batch_time_with_background(
-    const std::vector<Flow>& primary, const std::vector<Flow>& background) const {
-  if (primary.empty()) return 0.0;
-  // Accumulate loads over primary + background, but remember which
-  // resources the primary flows touch: only those bound the result.
+double CostModel::batch_time(const std::vector<Flow>& flows) const {
+  if (flows.empty()) return 0.0;
   const auto nodes = [](const Flow& f) {
     return std::tuple{f.src.node, f.dst.node, f.bytes};
   };
   BatchLoads& loads = BatchLoads::begin(*cluster_);
-  loads.add(primary, /*primary=*/true, nodes);
-  loads.add(background, /*primary=*/false, nodes);
+  loads.add(flows, /*primary=*/true, nodes);
   return price_batch(*cluster_, params_, loads);
 }
 

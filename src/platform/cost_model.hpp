@@ -84,18 +84,14 @@ class CostModel {
   /// bottleneck resource).
   double batch_time(const std::vector<Flow>& flows) const;
 
-  /// Completion time of `primary` flows while `background` flows contend
-  /// for the same links/NICs (e.g. two consumer applications pulling
-  /// simultaneously in the sequential coupling scenario). Only resources
-  /// actually used by a primary flow bound the result, but their load
-  /// includes the background traffic.
-  double batch_time_with_background(const std::vector<Flow>& primary,
-                                    const std::vector<Flow>& background) const;
-
-  /// batch_time_with_background of flows already summed per node pair.
-  /// A pair may appear in both lists and more than once in either. On
-  /// the per-pair sums of any two flow lists it returns bit for bit what
-  /// the flows entry returns on the lists themselves.
+  /// Completion time of `primary` traffic while `background` traffic
+  /// contends for the same links/NICs (e.g. two consumer applications
+  /// pulling simultaneously in the sequential coupling scenario), both
+  /// given as bytes per node pair. Only resources actually used by a
+  /// primary pair bound the result, but their load includes the
+  /// background traffic. A pair may appear in both lists and more than
+  /// once in either. With an empty background, the per-pair sums of a
+  /// flow list price bit for bit as batch_time prices the flows.
   double batch_time_of_pairs(std::span<const NodePairBytes> primary,
                              std::span<const NodePairBytes> background) const;
 

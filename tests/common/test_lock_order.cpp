@@ -1,11 +1,15 @@
 // Lock-order registry + annotated Mutex integration tests: inversions are
-// detected and name both locks, try-lock takes no ordering edges, and the
-// hierarchy dump is deterministic.
+// detected and name both locks, try-lock takes no ordering edges, the
+// hierarchy dump is deterministic, and ordering is checked per lock class:
+// building locks interns nothing, and instances of one class share its
+// edges.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/lock_order.hpp"
 #include "common/sync.hpp"
@@ -215,6 +219,86 @@ TEST_F(LockOrderTest, NonAbortingHandlerLetsExecutionContinue) {
   EXPECT_EQ(g_counted_cycles, 1);
   EXPECT_EQ(lock_order::cycles_reported(), before + 1);
   EXPECT_EQ(lock_order::edge_count(), 1u);  // the cycle edge is not kept
+}
+
+TEST_F(LockOrderTest, InversionAcrossInstancesOfTwoClassesDetected) {
+  // Edges belong to classes: a1 -> b1 and then b2 -> a2 is an inversion
+  // even though no single pair of instances was ever taken both ways.
+  Mutex a1{"class.a"};
+  Mutex b1{"class.b"};
+  Mutex a2{"class.a"};
+  Mutex b2{"class.b"};
+  {
+    MutexLock la(a1);
+    MutexLock lb(b1);  // class.a -> class.b
+  }
+  std::string report;
+  {
+    MutexLock lb(b2);
+    try {
+      MutexLock la(a2);  // class.b -> class.a closes the cycle
+      FAIL() << "class-level inversion not detected";
+    } catch (const std::runtime_error& e) {
+      report = e.what();
+    }
+  }
+  EXPECT_NE(report.find("class.a"), std::string::npos) << report;
+  EXPECT_NE(report.find("class.b"), std::string::npos) << report;
+  EXPECT_EQ(lock_order::cycles_reported(), 1u);
+  EXPECT_EQ(lock_order::edge_count(), 1u);
+}
+
+TEST_F(LockOrderTest, NestingTwoInstancesOfOneClassIsRecursive) {
+  Mutex first{"class.same"};
+  Mutex second{"class.same"};
+  MutexLock l1(first);
+  try {
+    second.lock();
+    second.unlock();
+    FAIL() << "same-class nesting not reported";
+  } catch (const std::runtime_error& e) {
+    const std::string report = e.what();
+    EXPECT_NE(report.find("acquiring 'class.same' while holding 'class.same'"),
+              std::string::npos)
+        << report;
+  }
+  EXPECT_EQ(lock_order::cycles_reported(), 1u);
+  EXPECT_EQ(lock_order::edge_count(), 0u);
+}
+
+TEST_F(LockOrderTest, BuildingLocksInternsNoClass) {
+  const std::size_t before = lock_order::class_count();
+  std::vector<std::unique_ptr<Mutex>> locks;
+  locks.reserve(100'000);
+  for (int i = 0; i < 100'000; ++i) {
+    locks.push_back(std::make_unique<Mutex>("class.built"));
+  }
+  EXPECT_EQ(lock_order::class_count(), before);
+  // Taking every one of them interns their class once.
+  for (const auto& mu : locks) {
+    MutexLock lock(*mu);
+  }
+  EXPECT_EQ(lock_order::class_count(), before + 1);
+  EXPECT_EQ(lock_order::edge_count(), 0u);
+}
+
+TEST_F(LockOrderTest, DisabledCheckerLeavesRegistryUntouched) {
+  lock_order::set_enabled(false);
+  const std::size_t classes = lock_order::class_count();
+  Mutex a{"off.registry.a"};
+  SharedMutex s{"off.registry.s"};
+  {
+    MutexLock la(a);
+    ReaderLock ls(s);
+  }
+  ASSERT_TRUE(a.try_lock());
+  a.unlock();
+  {
+    WriterLock ls(s);
+  }
+  EXPECT_EQ(lock_order::class_count(), classes);
+  EXPECT_EQ(lock_order::edge_count(), 0u);
+  EXPECT_EQ(lock_order::cycles_reported(), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "common/types.hpp"
 #include "platform/cost_model.hpp"
+#include "support/flow_pairs.hpp"
 
 namespace cods {
 namespace {
@@ -98,11 +99,11 @@ TEST_F(CostModelTest, IntraNodeRpcCheaperThanRemote) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle: the hash-map evaluation of batch_time_with_background that the
-// dense, allocation-free one replaced. Each resource's load is summed in
-// flow order (primary, then background) and the bottleneck is the max over
-// the resources a primary flow touches; the production code must agree
-// bit for bit.
+// Oracle: the hash-map evaluation of a batch priced against background
+// flows that the dense, allocation-free one replaced. Each resource's load
+// is summed in flow order (primary, then background) and the bottleneck is
+// the max over the resources a primary flow touches; the production code
+// must agree bit for bit.
 // ---------------------------------------------------------------------------
 
 double reference_batch_time(const Cluster& cluster, const CostParams& params,
@@ -196,18 +197,26 @@ std::vector<Flow> random_flows(std::mt19937_64& rng, const Cluster& cluster,
 }
 
 /// Runs the production model and the oracle on one batch and compares
-/// the bit patterns of the results.
+/// the bit patterns of the results. A batch with no background goes
+/// through the flows entry too.
 void expect_matches_oracle(const Cluster& cluster,
                            const std::vector<Flow>& primary,
                            const std::vector<Flow>& background) {
   const CostModel model(cluster);
-  const double got = model.batch_time_with_background(primary, background);
+  const double got = test::batch_time_with_background(model, primary,
+                                                      background);
   const double want =
       reference_batch_time(cluster, model.params(), primary, background);
   EXPECT_EQ(std::bit_cast<u64>(got), std::bit_cast<u64>(want))
       << cluster.to_string() << ": " << got << " vs " << want << " ("
       << primary.size() << " primary, " << background.size()
       << " background flows)";
+  if (background.empty()) {
+    const double flows = model.batch_time(primary);
+    EXPECT_EQ(std::bit_cast<u64>(flows), std::bit_cast<u64>(want))
+        << cluster.to_string() << ": " << flows << " vs " << want << " ("
+        << primary.size() << " flows)";
+  }
 }
 
 TEST(CostModelOracle, TorusLargerThanNodeCount) {
@@ -337,7 +346,7 @@ TEST(CostModelOracle, PairCarriesPrimaryAndBackgroundFlows) {
                                         {{5, 0}, {0, 0}, 4'000'037}};
   expect_matches_oracle(cluster, primary, background);
   const CostModel model(cluster);
-  EXPECT_GT(model.batch_time_with_background(primary, background),
+  EXPECT_GT(test::batch_time_with_background(model, primary, background),
             model.batch_time(primary));
 }
 
@@ -355,10 +364,11 @@ TEST(CostModelOracle, BackgroundOnlyPairCrossesPrimaryLink) {
   expect_matches_oracle(ring, primary, background);
   const CostModel model(ring);
   const double alone = model.batch_time(primary);
-  const double contended =
-      model.batch_time_with_background(primary, {background[0], background[1]});
+  const double contended = test::batch_time_with_background(
+      model, primary, {background[0], background[1]});
   EXPECT_GT(contended, alone);
-  EXPECT_EQ(model.batch_time_with_background(primary, background), contended)
+  EXPECT_EQ(test::batch_time_with_background(model, primary, background),
+            contended)
       << "a background-only link bounded the batch";
 }
 
@@ -371,8 +381,8 @@ TEST(CostModelOracle, RejectsBatchOf2To53Bytes) {
   EXPECT_THROW(
       model.batch_time({{{0, 0}, {1, 0}, half}, {{2, 0}, {3, 0}, half}}),
       Error);
-  EXPECT_THROW(model.batch_time_with_background({{{0, 0}, {1, 0}, half}},
-                                                {{{1, 0}, {1, 1}, half}}),
+  EXPECT_THROW(test::batch_time_with_background(
+                   model, {{{0, 0}, {1, 0}, half}}, {{{1, 0}, {1, 1}, half}}),
                Error);
   EXPECT_THROW(model.batch_time({{{0, 0}, {1, 0}, ~u64{0}}}), Error);
   // A rejected batch leaves the scratch usable.
@@ -390,12 +400,8 @@ TEST(CostModelOracle, RejectsBatchOf2To53Bytes) {
 std::vector<NodePairBytes> random_pairs(std::mt19937_64& rng,
                                         const Cluster& cluster, size_t count,
                                         double shm_share, int zero_every) {
-  std::vector<NodePairBytes> pairs;
-  for (const Flow& f :
-       random_flows(rng, cluster, count, shm_share, zero_every)) {
-    pairs.push_back(NodePairBytes{f.src.node, f.dst.node, f.bytes});
-  }
-  return pairs;
+  return test::to_pairs(
+      random_flows(rng, cluster, count, shm_share, zero_every));
 }
 
 /// Each pair as one to four flows between random cores of its nodes

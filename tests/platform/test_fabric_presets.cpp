@@ -2,6 +2,7 @@
 
 #include "common/types.hpp"
 #include "platform/cost_model.hpp"
+#include "support/flow_pairs.hpp"
 
 namespace cods {
 namespace {
@@ -45,9 +46,9 @@ TEST(CostModel, BackgroundFlowsSlowPrimary) {
   const std::vector<Flow> primary = {{{1, 0}, {0, 0}, 32_MiB}};
   const std::vector<Flow> background = {{{2, 0}, {0, 0}, 32_MiB},
                                         {{3, 0}, {0, 0}, 32_MiB}};
-  const double alone = model.batch_time_with_background(primary, {});
+  const double alone = model.batch_time(primary);
   const double contended =
-      model.batch_time_with_background(primary, background);
+      test::batch_time_with_background(model, primary, background);
   EXPECT_GT(contended, 2 * alone);
 }
 
@@ -57,9 +58,9 @@ TEST(CostModel, BackgroundOnDisjointResourcesIsFree) {
   CostModel model(cluster);
   const std::vector<Flow> primary = {{{0, 0}, {1, 0}, 32_MiB}};
   const std::vector<Flow> background = {{{2, 0}, {3, 0}, 32_MiB}};
-  const double alone = model.batch_time_with_background(primary, {});
+  const double alone = model.batch_time(primary);
   const double with_background =
-      model.batch_time_with_background(primary, background);
+      test::batch_time_with_background(model, primary, background);
   EXPECT_DOUBLE_EQ(alone, with_background);
 }
 
@@ -67,7 +68,7 @@ TEST(CostModel, EmptyPrimaryIsZeroEvenWithBackground) {
   Cluster cluster(ClusterSpec{.num_nodes = 2, .cores_per_node = 2});
   CostModel model(cluster);
   const std::vector<Flow> background = {{{0, 0}, {1, 0}, 1_MiB}};
-  EXPECT_EQ(model.batch_time_with_background({}, background), 0.0);
+  EXPECT_EQ(test::batch_time_with_background(model, {}, background), 0.0);
 }
 
 }  // namespace
