@@ -52,7 +52,8 @@ struct SimulatePoint {
   u64 park_bytes_p50 = 0;   ///< bytes copied per park: median,
   u64 park_bytes_p99 = 0;   ///< 99th percentile
   u64 park_bytes_max = 0;   ///< and deepest
-  u64 parked_bytes = 0;     ///< bytes copied out, summed over every park
+  u64 parked_bytes = 0;     ///< park depths, summed over every park
+  u64 park_stored_bytes = 0;  ///< delta bytes held, summed over every park
   u64 inter_shm = 0;
   u64 inter_net = 0;
   u64 stored_bytes = 0;
@@ -62,11 +63,11 @@ struct SimulatePoint {
 /// Peak-RSS regression budget the CI scale smoke reads back from the
 /// committed JSON: the smoke's process peak RSS divided by its rank
 /// count must stay under this. The smoke's producer-only 262,144-rank
-/// wave measures ~1,980 B/rank now that parked stack copies sit in the
-/// engine's park slab, freed on resume. Chosen as ~2.3x that, the slack
-/// the previous budgets (6,144 over ~2,630 and 12,288 over ~5,230
-/// B/rank) left.
-constexpr u64 kRssBudgetBytesPerRank = 4608;
+/// wave measures ~1,180 B/rank now that parked stacks are stored as
+/// deltas against a per-depth template. Chosen as ~2.3x that, the slack
+/// the previous budgets (4,608 over ~1,980, 6,144 over ~2,630 and 12,288
+/// over ~5,230 B/rank) left.
+constexpr u64 kRssBudgetBytesPerRank = 2688;
 
 /// Cluster spec for the simulate rungs: near-cubic torus with just
 /// enough volume, instead of the default exact factorization. Rung node
@@ -137,6 +138,7 @@ SimulatePoint run_simulate_point(i32 side) {
   point.park_bytes_p99 = sim.park_depths.percentile(0.99);
   point.park_bytes_max = sim.park_depths.max_bytes;
   point.parked_bytes = sim.park_depths.total_bytes;
+  point.park_stored_bytes = sim.park_depths.stored_bytes;
 
   const ByteCounters inter = metrics.counters(2, TrafficClass::kInterApp);
   point.inter_shm = inter.shm_bytes;
@@ -195,7 +197,8 @@ int run_simulate_sweep(bool smoke, const std::string& out_path) {
         " \"switches_per_wall_s\": %.0f, \"peak_rss_bytes\": %llu,"
         " \"arena_bytes\": %llu, \"parks\": %llu, \"park_bytes_p50\": %llu,"
         " \"park_bytes_p99\": %llu, \"park_bytes_max\": %llu,"
-        " \"parked_bytes\": %llu, \"inter_shm_bytes\": %llu,"
+        " \"parked_bytes\": %llu, \"park_stored_bytes\": %llu,"
+        " \"inter_shm_bytes\": %llu,"
         " \"inter_net_bytes\": %llu, \"stored_bytes\": %llu,"
         " \"mismatches\": %llu}%s\n",
         p.side, p.producer_tasks, p.consumer_tasks, p.ranks, p.wall_seconds,
@@ -207,6 +210,7 @@ int run_simulate_sweep(bool smoke, const std::string& out_path) {
         static_cast<unsigned long long>(p.park_bytes_p99),
         static_cast<unsigned long long>(p.park_bytes_max),
         static_cast<unsigned long long>(p.parked_bytes),
+        static_cast<unsigned long long>(p.park_stored_bytes),
         static_cast<unsigned long long>(p.inter_shm),
         static_cast<unsigned long long>(p.inter_net),
         static_cast<unsigned long long>(p.stored_bytes),

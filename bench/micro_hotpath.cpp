@@ -10,6 +10,7 @@
 // design the sharded registry replaced, not against a strawman.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <string>
@@ -179,9 +180,12 @@ BENCHMARK(BM_SimFiberPingPong)->Unit(benchmark::kMillisecond);
 // turn, once 1 KiB deeper — the two parks of a weak-scaling rank (its
 // split, then its barrier). per_park divides wall time by the parks
 // (SimStats::switches / 2 less one first dispatch per fiber), so it
-// includes the dispatch and the CondVar hook around each copy out and
-// back; slab_B_per_fiber is SimStats::arena_bytes less the shared stack,
-// over N.
+// includes the dispatch and the CondVar hook around each save and
+// restore; stored_B_per_park is what a park's delta held on average, and
+// slab_B_per_fiber is SimStats::arena_bytes less the shared stack, over
+// N. The EveryWordDiffers variant fills the deep frame per fiber, so its
+// 1 KiB of locals differ from the template in every word: the most
+// compare-and-scatter work a park of that depth can take.
 // --------------------------------------------------------------------------
 
 /// All fibers of a run meet here; each meeting parks every fiber but the
@@ -213,28 +217,55 @@ struct Meeting {
   frame[127] = frame[0];
 }
 
-void BM_SimParkTwoDepths(benchmark::State& state) {
+[[gnu::noinline]] void meet_below_1k_of_own(Meeting& meeting, i32 fiber) {
+  volatile u64 frame[128];
+  for (u64 w = 0; w < 128; ++w) {
+    frame[w] = (static_cast<u64>(fiber) << 32 | w) * 0x9e3779b97f4a7c15;
+  }
+  meeting.meet();
+  frame[127] = frame[0];
+}
+
+void sim_park_two_depths(benchmark::State& state, bool every_word_differs) {
   const auto fibers = static_cast<i32>(state.range(0));
   u64 parks = 0;
+  u64 stored = 0;
   u64 slab_bytes = 0;
   for (auto _ : state) {
     Meeting meeting;
     meeting.fibers = fibers;
     SimEngine sim;
-    sim.run(fibers, [&](i32) {
+    sim.run(fibers, [&](i32 fiber) {
       meeting.meet();
-      meet_below_1k(meeting);
+      if (every_word_differs) {
+        meet_below_1k_of_own(meeting, fiber);
+      } else {
+        meet_below_1k(meeting);
+      }
     });
     parks += sim.stats().switches / 2 - static_cast<u64>(fibers);
+    stored += sim.stats().park_depths.stored_bytes;
     slab_bytes = sim.stats().arena_bytes -
                  static_cast<u64>(SimEngine::kDefaultStackBytes);
   }
   state.counters["per_park"] = benchmark::Counter(
       static_cast<double>(parks),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["stored_B_per_park"] =
+      static_cast<double>(stored) / static_cast<double>(std::max<u64>(parks, 1));
   state.counters["slab_B_per_fiber"] = static_cast<double>(slab_bytes) / fibers;
 }
+
+void BM_SimParkTwoDepths(benchmark::State& state) {
+  sim_park_two_depths(state, /*every_word_differs=*/false);
+}
 BENCHMARK(BM_SimParkTwoDepths)->Arg(4096)->Arg(65536)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SimParkTwoDepthsEveryWordDiffers(benchmark::State& state) {
+  sim_park_two_depths(state, /*every_word_differs=*/true);
+}
+BENCHMARK(BM_SimParkTwoDepthsEveryWordDiffers)->Arg(4096)->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -82,9 +82,12 @@ class CODS_CAPABILITY("mutex") Mutex {
   // calling fiber between attempts, and unlock() reports the release so
   // the engine can wake fiber waiters. Everything stays on one OS
   // thread, so the native mutex is never contended there; the hook path
-  // exists to keep *fiber* interleavings live-accurate.
+  // exists to keep *fiber* interleavings live-accurate. The acquisition
+  // still reports its ordering edges first; the try_lock() that wins
+  // marks the class held in the fiber's own held set.
   void lock() CODS_ACQUIRE() {
     if (blocking::SimHook* sim = blocking::sim_hook(); sim != nullptr) {
+      if (lock_order::enabled()) lock_order::on_acquire_attempt(class_);
       sim->lock(*this);
       return;
     }

@@ -5,9 +5,10 @@
 // keyed by virtual timestamp. On x86-64 a switch saves only the
 // callee-saved registers and FP control words and makes no syscall;
 // other ISAs switch through glibc ucontext. Every fiber runs on one
-// shared stack; a parked fiber's live frames are copied out to a slot of
-// the engine's park slab (runtime/park_slab.hpp) and back on resume, so
-// nothing may point into a parked fiber's stack.
+// shared stack; a parked fiber's live frames are stored as a delta
+// against the first park at the same depth, in a slot of the engine's
+// park slab (runtime/park_slab.hpp), and rebuilt on resume, so nothing
+// may point into a parked fiber's stack.
 // A fiber's virtual time is the modelled time its TaskClock accumulated —
 // the same per-operation costs the live modes charge — so event order
 // follows the cost model, not the host scheduler. Blocking never parks
@@ -38,16 +39,18 @@
 
 namespace cods {
 
-/// How deep the parks of one or more runs were: the bytes each park
-/// copied out of the shared stack.
+/// How deep the parks of one or more runs were: the bytes of the shared
+/// stack each park saved, and what its delta held.
 struct ParkDepths {
   /// (depth in bytes, parks at that depth), by depth. A run parks at a
   /// few distinct depths, so this stays a few entries long.
   std::vector<std::pair<u32, u64>> bins;
-  u64 total_bytes = 0;  ///< bytes copied out, summed over every park
-  u64 max_bytes = 0;    ///< the deepest park
+  u64 total_bytes = 0;   ///< park depths, summed over every park
+  u64 stored_bytes = 0;  ///< delta bytes held, summed over every park
+  u64 max_bytes = 0;     ///< the deepest park
 
-  void add(std::size_t bytes);
+  /// One park `bytes` deep whose delta held `stored` bytes.
+  void add(std::size_t bytes, std::size_t stored);
   void merge(const ParkDepths& other);
   u64 parks() const;
   /// The smallest depth that at least a fraction `q` of the parks do not
@@ -67,13 +70,14 @@ struct SimStats {
   i32 peak_blocked = 0;   ///< max fibers simultaneously suspended
   i32 stacks = 0;  ///< peak co-resident started fibers (pooled LiveFibers)
   double final_vtime = 0.0;  ///< largest virtual clock any fiber reached
-  /// Fiber stack memory: the shared stack plus the park slab's peak
-  /// bytes (the chunks that held parked fibers' stack copies).
+  /// Fiber stack memory: the shared stack, the per-depth templates and
+  /// the park slab's peak bytes (the chunks that held parked fibers'
+  /// stack deltas).
   u64 arena_bytes = 0;
   u64 peak_rss_bytes = 0;  ///< process peak RSS after the run (high-water
                            ///< mark over the process lifetime, not per-run)
   u64 ready_rebuilds = 0;  ///< calendar-queue bucket rebuilds
-  ParkDepths park_depths;  ///< bytes copied out per park
+  ParkDepths park_depths;  ///< depth and delta bytes per park
 };
 
 /// Single-threaded discrete-event executor with the same run(n, body)
